@@ -14,6 +14,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 SIGMA_FLOOR = 1e-8
+# elements of one row block's distance matrix in the nearest-member pass;
+# bounds its temporaries to a few MB whatever the label sizes
+BLOCK_ELEMS = 1 << 18
 
 
 @dataclass
@@ -60,24 +63,55 @@ def avg_hausdorff(set_a: np.ndarray, set_b: np.ndarray) -> float:
 def label_affinity(features: np.ndarray, L: np.ndarray) -> LabelAffinity:
     """Label similarity R_ab = exp(-H_ab / sigma^2) from per-label sets.
 
-    sigma is the mean of the off-diagonal H entries (floored to avoid
-    blow-up on degenerate all-identical data).
+    H_ab is the average Hausdorff distance between the sample sets of
+    labels a and b. One blocked pass per label b finds every sample's
+    distance to its nearest member of b as ||x||^2 + ||y||^2 - 2 x.y^T
+    (one GEMM per row block), so each label pair costs two masked sums
+    instead of a distance matrix. sigma is the mean of the off-diagonal H
+    entries (floored to avoid blow-up on degenerate all-identical data).
     """
     features = np.asarray(features, dtype=np.float64)
-    L = np.asarray(L)
-    c = L.shape[1]
-    sets = [features[L[:, a] > 0] for a in range(c)]
-    for a, s in enumerate(sets):
-        if s.shape[0] == 0:
+    members = np.asarray(L) > 0
+    c = members.shape[1]
+    counts = members.sum(axis=0)
+    for a in range(c):
+        if counts[a] == 0:
             raise ValueError(f"label {a} has no samples")
+    nearest = np.sqrt(_nearest_member_sq_dists(features, members))
     H = np.zeros((c, c))
     for a in range(c):
         for b in range(a + 1, c):
-            H[a, b] = H[b, a] = avg_hausdorff(sets[a], sets[b])
+            H[a, b] = H[b, a] = ((nearest[members[:, a], b].sum()
+                                  + nearest[members[:, b], a].sum())
+                                 / (counts[a] + counts[b]))
     off = H[~np.eye(c, dtype=bool)]
     sigma = max(float(off.mean()) if off.size else 0.0, SIGMA_FLOOR)
     R = np.exp(-H / sigma ** 2)
     return LabelAffinity(H, R, R.sum(axis=1), sigma)
+
+
+def _nearest_member_sq_dists(features: np.ndarray,
+                             members: np.ndarray) -> np.ndarray:
+    """(n, c) squared distance from each sample to its nearest member of
+    each label; exactly 0 where the sample carries the label."""
+    n, c = members.shape
+    sq = np.einsum("ij,ij->i", features, features)
+    nn2 = np.zeros((n, c))
+    for b in range(c):
+        # a member is its own nearest member, so only the others are searched
+        rows = np.flatnonzero(~members[:, b])
+        Y = features[members[:, b]]
+        Ym2 = -2.0 * Y           # exact scaling: X @ Ym2.T == -2 X Y^T
+        sq_y = sq[members[:, b]]
+        step = max(1, BLOCK_ELEMS // Y.shape[0])
+        for start in range(0, rows.size, step):
+            blk = rows[start:start + step]
+            G = features[blk] @ Ym2.T
+            G += sq_y
+            # ||x||^2 is constant along a row: add it after the min
+            nn2[blk, b] = sq[blk] + G.min(axis=1)
+    # GEMM round-off can leave a tiny negative square
+    return np.maximum(nn2, 0.0)
 
 
 def pooling_matrix(L: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, encode, eval, ablate, check-grad.
-Exit codes: 0 success, 1 validation error, 2 runtime/numeric error,
+Exit codes: 0 success, 1 validation error, 2 runtime, numeric or I/O error,
 3 verification failure. The output directory can be overridden with the
 TAILHASH_OUTPUT_DIR environment variable. Flag values take precedence over
 a JSON config file (--config), which takes precedence over defaults.
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (nn.NumericsError, store.StoreError, ValueError) as e:
+    except (nn.NumericsError, store.StoreError, ValueError, OSError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 

@@ -208,11 +208,12 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
             gx = grad_meta_x(fwd_x.M, fwd_y.M, S, B_batch, hyper) / nb ** 2
             _step_side(side.x, fwd_x, gx, hyper.lr)
 
-            # image side moved: re-run its forward before the text-side step
-            fwd_x2, fwd_y2 = _modality_pass(side, Xb[idx], Yb[idx], codes[0],
-                                            codes[1], variant)
-            gy = grad_meta_y(fwd_x2.M, fwd_y2.M, S, B_batch, hyper) / nb ** 2
-            _step_side(side.y, fwd_y2, gy, hyper.lr)
+            # image side moved: re-run its forward before the text-side step;
+            # the text side has not moved, so its forward is still current
+            fwd_x2 = meta.meta_forward(side.x, Xb[idx], *codes[0],
+                                       *variant.flags("x"))
+            gy = grad_meta_y(fwd_x2.M, fwd_y.M, S, B_batch, hyper) / nb ** 2
+            _step_side(side.y, fwd_y, gy, hyper.lr)
 
         _, _, B = full_base_codes(dataset, icae, side, variant,
                                   codes=base_codes)

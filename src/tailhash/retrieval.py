@@ -68,17 +68,32 @@ def hamming_matrix(query_codes: np.ndarray, base_codes: np.ndarray) -> np.ndarra
     Q = np.asarray(query_codes, dtype=np.float64)
     D = np.asarray(base_codes, dtype=np.float64)
     k = Q.shape[0]
-    return (k - Q.T @ D) / 2.0
+    # in place: one (nq, nb) matrix alive instead of two
+    dist = Q.T @ D
+    np.subtract(k, dist, out=dist)
+    dist /= 2.0
+    return dist
 
 
-def average_precisions(query_codes: np.ndarray, query_labels: np.ndarray,
-                       base_codes: np.ndarray, base_labels: np.ndarray,
-                       topR: Optional[int] = None) -> np.ndarray:
-    """Per-query AP; NaN marks queries with no relevant base item."""
+def _ranking(query_codes, query_labels, base_codes, base_labels
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Relevance (nq, nb) and each query's base order by Hamming distance.
+
+    The distances are small integers, so the stable sort runs on the
+    narrowest unsigned type that holds k: the same keys in the same stable
+    order, sorted far faster than as float64. The float matrix is freed
+    before the order array is allocated.
+    """
     rel = (np.asarray(query_labels, dtype=np.int64)
            @ np.asarray(base_labels, dtype=np.int64).T) > 0
-    dist = hamming_matrix(query_codes, base_codes)
-    order = np.argsort(dist, axis=1, kind="stable")
+    k = np.shape(query_codes)[0]
+    order = np.argsort(hamming_matrix(query_codes, base_codes)
+                       .astype(np.min_scalar_type(k)), axis=1, kind="stable")
+    return rel, order
+
+
+def _average_precisions(rel: np.ndarray, order: np.ndarray,
+                        topR: Optional[int]) -> np.ndarray:
     nq, nb = rel.shape
     limit = nb if topR is None else min(topR, nb)
     aps = np.full(nq, np.nan)
@@ -95,6 +110,25 @@ def average_precisions(query_codes: np.ndarray, query_labels: np.ndarray,
     return aps
 
 
+def _precision_at(rel: np.ndarray, order: np.ndarray,
+                  ks: Sequence[int]) -> list[tuple[int, float]]:
+    valid = rel.any(axis=1)
+    out = []
+    for k in ks:
+        k_eff = min(k, rel.shape[1])
+        hits = np.take_along_axis(rel, order[:, :k_eff], axis=1).sum(axis=1)
+        out.append((int(k), float((hits[valid] / k_eff).mean())))
+    return out
+
+
+def average_precisions(query_codes: np.ndarray, query_labels: np.ndarray,
+                       base_codes: np.ndarray, base_labels: np.ndarray,
+                       topR: Optional[int] = None) -> np.ndarray:
+    """Per-query AP; NaN marks queries with no relevant base item."""
+    rel, order = _ranking(query_codes, query_labels, base_codes, base_labels)
+    return _average_precisions(rel, order, topR)
+
+
 def mean_average_precision(query_codes, query_labels, base_codes, base_labels,
                            topR: Optional[int] = None) -> float:
     aps = average_precisions(query_codes, query_labels, base_codes,
@@ -107,17 +141,8 @@ def mean_average_precision(query_codes, query_labels, base_codes, base_labels,
 
 def precision_at(query_codes, query_labels, base_codes, base_labels,
                  ks: Sequence[int]) -> list[tuple[int, float]]:
-    rel = (np.asarray(query_labels, dtype=np.int64)
-           @ np.asarray(base_labels, dtype=np.int64).T) > 0
-    dist = hamming_matrix(query_codes, base_codes)
-    order = np.argsort(dist, axis=1, kind="stable")
-    valid = rel.any(axis=1)
-    out = []
-    for k in ks:
-        k_eff = min(k, rel.shape[1])
-        hits = np.take_along_axis(rel, order[:, :k_eff], axis=1).sum(axis=1)
-        out.append((int(k), float((hits[valid] / k_eff).mean())))
-    return out
+    rel, order = _ranking(query_codes, query_labels, base_codes, base_labels)
+    return _precision_at(rel, order, ks)
 
 
 def per_label_breakdown(aps: np.ndarray, query_labels: np.ndarray,
@@ -152,8 +177,9 @@ def evaluate(direction: str, query_codes, query_labels, base_codes,
              variant: str = "full") -> EvalReport:
     """Full retrieval evaluation in one direction."""
     start = time.perf_counter()
-    aps = average_precisions(query_codes, query_labels, base_codes,
-                             base_labels, topR)
+    # one ranking serves both AP and precision@k
+    rel, order = _ranking(query_codes, query_labels, base_codes, base_labels)
+    aps = _average_precisions(rel, order, topR)
     valid = ~np.isnan(aps)
     if not valid.any():
         raise ValueError("no query has a relevant base item")
@@ -163,8 +189,7 @@ def evaluate(direction: str, query_codes, query_labels, base_codes,
     return EvalReport(
         direction=direction,
         map=float(aps[valid].mean()),
-        precision_at=precision_at(query_codes, query_labels, base_codes,
-                                  base_labels, ks),
+        precision_at=_precision_at(rel, order, ks),
         per_label_map=per_label,
         head_tail_split_index=int(head_count),
         head_map=head_map,

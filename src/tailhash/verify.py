@@ -118,6 +118,45 @@ def check_j1(seed: int = 0, trials: int = 20, bug: bool = False):
     return ("j1_dual_form", worst <= 1e-8, f"worst abs err {worst:.2e}")
 
 
+def check_label_affinity(seed: int = 0, trials: int = 3, bug: bool = False):
+    """Blocked nearest-member affinity vs the per-pair average Hausdorff
+    definition, on multi-label sets of unequal sizes whose nearest-member
+    passes span several row blocks; two labels with identical sample sets
+    must get H == 0 exactly."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    ok = True
+    for _ in range(trials):
+        c = int(rng.integers(3, 6))
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(1500, 2000))
+        feats = rng.uniform(0.5, 3.0) * rng.standard_normal((n, d))
+        # label 0 on about half the samples: its pass over the other half
+        # takes several blocks; the rest are rarer and overlap it
+        freq = rng.uniform(0.05, 0.4, size=c)
+        L = (rng.random((n, c)) < freq).astype(np.uint8)
+        L[:, 0] = rng.random(n) < 0.5
+        L[L.sum(axis=1) == 0, 0] = 1
+        L[:, c - 1] = L[:, 1]
+        aff = affinity.label_affinity(feats, L)
+        sets = [feats[L[:, a] > 0] for a in range(c)]
+        H = np.zeros((c, c))
+        for a in range(c):
+            for b in range(a + 1, c):
+                H[a, b] = H[b, a] = affinity.avg_hausdorff(sets[a], sets[b])
+        sigma = H[~np.eye(c, dtype=bool)].mean()
+        R = np.exp(-H / sigma ** 2)
+        for got, want in ((_maybe_bug(aff.H, bug), H), (aff.R, R),
+                          (aff.D, R.sum(axis=1))):
+            err = np.abs(got - want)
+            # exact where the definition gives 0: the diagonal and the
+            # identical pair (1, c - 1)
+            ok = ok and bool(np.all(err <= 1e-12 * np.abs(want)))
+            nz = want != 0
+            worst = max(worst, float(np.max(err[nz] / np.abs(want[nz]))))
+    return ("label_affinity_oracle", ok, f"worst rel err {worst:.2e}")
+
+
 def check_loss1_gradients(seed: int = 0, trials: int = 3, bug: bool = False):
     """Full phase-1 loss gradient vs finite differences on tiny instances."""
     rng = np.random.default_rng(seed)
@@ -283,8 +322,9 @@ def check_map(seed: int = 0, trials: int = 100, bug: bool = False):
 
 
 ALL_SUITES: list[Callable] = [
-    check_mlp_gradients, check_hsic, check_j1, check_loss1_gradients,
-    check_loss2_gradients, check_sign_update, check_map,
+    check_mlp_gradients, check_hsic, check_j1, check_label_affinity,
+    check_loss1_gradients, check_loss2_gradients, check_sign_update,
+    check_map,
 ]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tailhash import affinity, nn
+from tailhash import affinity, nn, verify
 
 
 # ------------------------------------------------------------ pair_similarity
@@ -124,6 +124,16 @@ def test_label_affinity_rejects_empty_label():
     with pytest.raises(ValueError):
         affinity.label_affinity(np.zeros((2, 2)),
                                 np.array([[1, 0], [1, 0]], dtype=np.uint8))
+
+
+def test_label_affinity_oracle():
+    # blocked nearest-member pass vs per-pair avg_hausdorff, multi-block
+    # instances with shared samples; an injected bug must be caught
+    for seed in (0, 1):
+        _, passed, detail = verify.check_label_affinity(seed=seed)
+        assert passed, detail
+    _, passed, _ = verify.check_label_affinity(seed=0, bug=True)
+    assert not passed
 
 
 # ----------------------------------------------------------- label_prototypes

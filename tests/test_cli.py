@@ -202,6 +202,22 @@ def test_eval_rejects_bad_direction(tmp_path):
     assert code == 1
 
 
+def test_eval_missing_codes_file_is_runtime_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    qx = _encode(tmp_path, data, run, "x", "query", "e1")
+    by = _encode(tmp_path, data, run, "y", "base", "e2")
+    (by / "codes.bin").unlink()
+    capsys.readouterr()
+    code = run_cli(["eval", "--query-codes", str(qx), "--base-codes", str(by),
+                    "--dataset", str(data / "dataset"),
+                    "--direction", "i2t", "--out", str(tmp_path / "ev")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "codes.bin" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # -------------------------------------------------------------------- ablate
 
 def test_ablate_writes_all_variant_reports(tmp_path):
