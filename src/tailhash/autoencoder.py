@@ -177,15 +177,20 @@ def calibrate_code_scales(params: IcaeParams, Xb: np.ndarray,
     """
     params.code_scales = None
     rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)), SCALE_FLOOR)
-    both = encode_raw(params, Xb, Yb)
-    only_x = encode_raw(params, Xb, np.zeros_like(Yb), drop="y")
-    only_y = encode_raw(params, np.zeros_like(Xb), Yb, drop="x")
+    Fx = direct_features(params, "x", Xb)
+    Fy = direct_features(params, "y", Yb)
+    both = encode(params, Fx, Fy)
+
+    def common_rms(drop):
+        # a single-modality pass only needs the commonality code
+        Cs, _ = nn.forward(params.enc_common, _common_input(Fx, Fy, drop))
+        return rms(Cs.T)
+
     px_mean, py_mean = both.Px.mean(axis=0), both.Py.mean(axis=0)
     px, py = rms(both.Px - px_mean), rms(both.Py - py_mean)
     params.code_scales = {"px_mean": px_mean, "py_mean": py_mean,
-                          "px": px, "py": py,
-                          "c": rms(both.Cstar), "cx": rms(only_x.Cstar),
-                          "cy": rms(only_y.Cstar)}
+                          "px": px, "py": py, "c": rms(both.Cstar),
+                          "cx": common_rms("y"), "cy": common_rms("x")}
     # the standardized individuality codes: what encode returns from here on
     params.memory = build_memory((both.Px - px_mean) / px,
                                  (both.Py - py_mean) / py, Lb)
@@ -337,11 +342,7 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
 
     # J2 between individuality codes, batch bandwidths held constant
     if n >= 2:
-        sx = hsic.bandwidth(codes.Px)
-        sy = hsic.bandwidth(codes.Py)
-        j2 = hsic.hsic_value(hsic.rbf_kernel(codes.Px, sx),
-                             hsic.rbf_kernel(codes.Py, sy))
-        gPx_rows, gPy_rows = hsic.hsic_grad(codes.Px, codes.Py, (sx, sy))
+        j2, gPx_rows, gPy_rows = hsic.hsic_value_and_grad(codes.Px, codes.Py)
     else:
         j2, gPx_rows, gPy_rows = 0.0, np.zeros((n, k)), np.zeros((n, k))
 

@@ -7,17 +7,9 @@ with the bandwidths treated as constants during differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 BANDWIDTH_FLOOR = 1e-8
-
-
-@dataclass
-class KernelMatrix:
-    K: np.ndarray
-    sigma: float
 
 
 def pairwise_sq_dists(P: np.ndarray) -> np.ndarray:
@@ -27,29 +19,28 @@ def pairwise_sq_dists(P: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def bandwidth(P: np.ndarray) -> float:
-    """Mean off-diagonal pairwise squared distance, floored."""
-    d2 = pairwise_sq_dists(P)
+def _mean_offdiagonal(d2: np.ndarray) -> float:
     n = d2.shape[0]
     off = d2[~np.eye(n, dtype=bool)]
     return max(float(off.mean()) if off.size else 0.0, BANDWIDTH_FLOOR)
 
 
-def rbf_kernel(P: np.ndarray, sigma: float) -> KernelMatrix:
+def bandwidth(P: np.ndarray) -> float:
+    """Mean off-diagonal pairwise squared distance, floored."""
+    return _mean_offdiagonal(pairwise_sq_dists(P))
+
+
+def rbf_kernel(P: np.ndarray, sigma: float) -> np.ndarray:
     """K_ab = exp(-||P_a - P_b||^2 / sigma) over rows of P."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return KernelMatrix(np.exp(-pairwise_sq_dists(P) / sigma), float(sigma))
+    return np.exp(-pairwise_sq_dists(P) / sigma)
 
 
-def _as_kernel(K) -> np.ndarray:
-    return K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=np.float64)
-
-
-def hsic_value(Kx, Ky, n: int | None = None) -> float:
+def hsic_value(Kx: np.ndarray, Ky: np.ndarray, n: int | None = None) -> float:
     """(n-1)^(-2) tr(Kx A Ky A) with A = I - ee^T/n."""
-    Kx = _as_kernel(Kx)
-    Ky = _as_kernel(Ky)
+    Kx = np.asarray(Kx, dtype=np.float64)
+    Ky = np.asarray(Ky, dtype=np.float64)
     m = Kx.shape[0]
     if n is None:
         n = m
@@ -60,30 +51,40 @@ def hsic_value(Kx, Ky, n: int | None = None) -> float:
     return float(np.sum(KxC * KyC.T) / (n - 1) ** 2)
 
 
-def hsic_grad(Px: np.ndarray, Py: np.ndarray,
-              sigmas: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of hsic_value through the RBF kernels, wrt rows of Px and Py.
+def hsic_value_and_grad(Px: np.ndarray, Py: np.ndarray
+                        ) -> tuple[float, np.ndarray, np.ndarray]:
+    """HSIC of the rows of Px and Py at their own bandwidths, with its
+    gradient wrt the rows of each.
 
-    Bandwidths are fixed constants here (no gradient through sigma).
+    The value equals hsic_value(rbf_kernel(P, bandwidth(P)), ...) bit for
+    bit. The bandwidths are constants in the gradient (no gradient through
+    sigma). d value / d Kx is (n-1)^(-2) A Ky A, formed by double centering
+    Ky in O(n^2) rather than by two dense products with A.
     """
     Px = np.asarray(Px, dtype=np.float64)
     Py = np.asarray(Py, dtype=np.float64)
     if Px.shape[0] != Py.shape[0]:
         raise ValueError("row counts must match")
-    sx, sy = sigmas
-    if sx <= 0 or sy <= 0:
-        raise ValueError("degenerate bandwidth")
     n = Px.shape[0]
-    Kx = rbf_kernel(Px, sx).K
-    Ky = rbf_kernel(Py, sy).K
-    A = np.eye(n) - np.ones((n, n)) / n
-    scale = 1.0 / (n - 1) ** 2
-    Wx = scale * (A @ Ky @ A)     # d hsic / d Kx, symmetric
-    Wy = scale * (A @ Kx @ A)
+    if n < 2:
+        raise ValueError("need at least 2 samples")
 
-    def kernel_chain(W, K, P, sigma):
-        T = W * K
+    def kernel(P):
+        d2 = pairwise_sq_dists(P)
+        sigma = _mean_offdiagonal(d2)
+        K = np.exp(-d2 / sigma)
+        return sigma, K, K - K.mean(axis=1, keepdims=True)   # K A
+
+    sx, Kx, KxC = kernel(Px)
+    sy, Ky, KyC = kernel(Py)
+    value = float(np.sum(KxC * KyC.T) / (n - 1) ** 2)
+
+    def kernel_chain(KC_other, K, P, sigma):
+        # (A K_other A) * K, elementwise; A K_other A = K_other A minus its
+        # column means
+        T = (KC_other - KC_other.mean(axis=0, keepdims=True)) * K
         row = T.sum(axis=1)
-        return (-4.0 / sigma) * (row[:, None] * P - T @ P)
+        return (-4.0 / (sigma * (n - 1) ** 2)) * (row[:, None] * P - T @ P)
 
-    return kernel_chain(Wx, Kx, Px, sx), kernel_chain(Wy, Ky, Py, sy)
+    return (value, kernel_chain(KyC, Kx, Px, sx),
+            kernel_chain(KxC, Ky, Py, sy))

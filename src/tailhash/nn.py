@@ -29,13 +29,11 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # branch form: never exponentiates a large positive argument
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with one
+    # exponential of -|z|: never exponentiates a large positive argument.
+    # minimum(z, -z) rather than -abs(z) keeps a NaN's sign bit
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -88,11 +88,26 @@ def _write_manifest(root: Path, manifest: dict) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
+class _Manifest(dict):
+    """A manifest object, at any depth, whose missing keys raise StoreError
+    naming the key and the file instead of a bare KeyError."""
+    path: Optional[Path] = None
+
+    def __missing__(self, key):
+        raise StoreError(f"{self.path}: missing key {key!r}")
+
+
 def _read_manifest(root: Path) -> dict:
     path = Path(root) / "manifest.json"
     if not path.is_file():
         raise StoreError(f"no manifest at {path}")
-    manifest = json.loads(path.read_text())
+
+    def manifest_object(pairs):
+        obj = _Manifest(pairs)
+        obj.path = path
+        return obj
+
+    manifest = json.loads(path.read_text(), object_pairs_hook=manifest_object)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatVersionError(
             f"{path}: format_version {manifest.get('format_version')}, "

@@ -70,20 +70,52 @@ def hsic_expanded_oracle(Px: np.ndarray, Py: np.ndarray,
     return total / (n - 1) ** 2
 
 
+def hsic_grad_oracle(Px: np.ndarray, Py: np.ndarray, sx: float, sy: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """HSIC gradient wrt the rows of Px and Py at fixed bandwidths, from
+    the dense centering products A K A with A = I - ee^T/n."""
+    n = Px.shape[0]
+    A = np.eye(n) - np.ones((n, n)) / n
+
+    def kernel(P, sigma):
+        return np.exp(-np.sum((P[:, None, :] - P[None, :, :]) ** 2,
+                              axis=2) / sigma)
+
+    def chain(W, K, P, sigma):
+        # d/dP_a of sum_ab W_ab exp(-|P_a - P_b|^2 / sigma), W symmetric
+        T = W * K
+        return (-4.0 / sigma) * (T.sum(axis=1)[:, None] * P - T @ P)
+
+    Kx, Ky = kernel(Px, sx), kernel(Py, sy)
+    scale = 1.0 / (n - 1) ** 2
+    return (chain(scale * (A @ Ky @ A), Kx, Px, sx),
+            chain(scale * (A @ Kx @ A), Ky, Py, sy))
+
+
 def check_hsic(seed: int = 0, trials: int = 20, bug: bool = False):
+    """hsic_value_and_grad: the value bit for bit against the composed
+    bandwidth / rbf_kernel / hsic_value path and near the expanded double
+    sum; the gradient against finite differences at small n and against
+    the dense oracle at batch sizes."""
     rng = np.random.default_rng(seed)
-    worst_val, worst_grad = 0.0, 0.0
+    worst_val, worst_grad, worst_dense = 0.0, 0.0, 0.0
+    exact = True
+
+    def fused(Px, Py):
+        nonlocal exact
+        sx, sy = hsic.bandwidth(Px), hsic.bandwidth(Py)
+        val, gx, gy = hsic.hsic_value_and_grad(Px, Py)
+        exact = exact and val == hsic.hsic_value(hsic.rbf_kernel(Px, sx),
+                                                 hsic.rbf_kernel(Py, sy))
+        return sx, sy, val, _maybe_bug(gx, bug), gy
+
     for _ in range(trials):
         n = int(rng.integers(3, 9))
         d = int(rng.integers(2, 5))
         Px = rng.standard_normal((n, d))
         Py = rng.standard_normal((n, d))
-        sx, sy = hsic.bandwidth(Px), hsic.bandwidth(Py)
-        val = hsic.hsic_value(hsic.rbf_kernel(Px, sx), hsic.rbf_kernel(Py, sy))
+        sx, sy, val, gx, gy = fused(Px, Py)
         worst_val = max(worst_val, abs(val - hsic_expanded_oracle(Px, Py, sx, sy)))
-
-        gx, gy = hsic.hsic_grad(Px, Py, (sx, sy))
-        gx = _maybe_bug(gx, bug)
         fx = nn.finite_diff_grad(
             lambda P: hsic.hsic_value(hsic.rbf_kernel(P, sx),
                                       hsic.rbf_kernel(Py, sy)), Px)
@@ -91,9 +123,20 @@ def check_hsic(seed: int = 0, trials: int = 20, bug: bool = False):
             lambda P: hsic.hsic_value(hsic.rbf_kernel(Px, sx),
                                       hsic.rbf_kernel(P, sy)), Py)
         worst_grad = max(worst_grad, _rel_err(gx, fx), _rel_err(gy, fy))
-    ok = worst_val <= EXACT_TOL and worst_grad <= REL_TOL
+
+    for n in (2, 3, 128, 129):
+        Px = rng.standard_normal((n, 16))
+        Py = rng.standard_normal((n, 16))
+        sx, sy, _, gx, gy = fused(Px, Py)
+        ox, oy = hsic_grad_oracle(Px, Py, sx, sy)
+        worst_dense = max(worst_dense, _rel_err(gx, ox), _rel_err(gy, oy))
+    ok = (exact and worst_val <= EXACT_TOL and worst_grad <= REL_TOL
+          and worst_dense <= 1e-12)
     return ("hsic_value_and_grad", ok,
-            f"value err {worst_val:.2e}, grad rel err {worst_grad:.2e}")
+            f"value {'bit-identical' if exact else 'DIFFERS'} to the "
+            f"composed path, err {worst_val:.2e} vs expanded sum; grad rel "
+            f"err {worst_grad:.2e} vs finite differences, {worst_dense:.2e} "
+            f"vs dense oracle")
 
 
 def check_j1(seed: int = 0, trials: int = 20, bug: bool = False):
@@ -196,10 +239,9 @@ def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, net, theta):
     """Central differences of Loss1 over one net's parameters with the HSIC
     bandwidths pinned at their base-point values (matching the analytic
     stop-gradient through sigma)."""
-    from . import hsic as _hsic
     codes0 = autoencoder.encode(icae, Fx, Fy)
-    sx = _hsic.bandwidth(codes0.Px)
-    sy = _hsic.bandwidth(codes0.Py)
+    sx = hsic.bandwidth(codes0.Px)
+    sy = hsic.bandwidth(codes0.Py)
 
     def value_at(vec):
         nn.set_flat(net, vec)
@@ -209,8 +251,8 @@ def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, net, theta):
         prot = codes.Cstar.T @ W
         j1, _ = affinity.j1_loss_and_grad(prot, aff_x.restrict(present),
                                           aff_y.restrict(present))
-        j2 = _hsic.hsic_value(_hsic.rbf_kernel(codes.Px, sx),
-                              _hsic.rbf_kernel(codes.Py, sy))
+        j2 = hsic.hsic_value(hsic.rbf_kernel(codes.Px, sx),
+                             hsic.rbf_kernel(codes.Py, sy))
         j3, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
         nn.set_flat(net, theta)
         return icae.alpha * j1 + icae.beta * j2 + j3

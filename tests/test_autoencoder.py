@@ -97,6 +97,41 @@ def test_code_scales_standardize_codes():
         np.sqrt(np.mean(only_x.Cstar ** 2, axis=0)), 1.0, atol=1e-10)
 
 
+def test_code_scales_match_full_single_modality_encodings():
+    # calibration encodes only the commonality for the single-modality
+    # passes; scales and memories equal those of full encodings bit for bit
+    rng = np.random.default_rng(6)
+    icae = _tiny_icae(rng, k=3)
+    Xb = rng.standard_normal((50, 3))
+    Yb = rng.standard_normal((50, 3))
+    Lb = _labels(50, 4)
+    autoencoder.calibrate_code_scales(icae, Xb, Yb, Lb)
+    got_scales, got_memory = icae.code_scales, icae.memory
+
+    icae.code_scales = None
+    rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)),
+                               autoencoder.SCALE_FLOOR)
+    both = autoencoder.encode_raw(icae, Xb, Yb)
+    only_x = autoencoder.encode_raw(icae, Xb, np.zeros_like(Yb), drop="y")
+    only_y = autoencoder.encode_raw(icae, np.zeros_like(Xb), Yb, drop="x")
+    px_mean, py_mean = both.Px.mean(axis=0), both.Py.mean(axis=0)
+    px, py = rms(both.Px - px_mean), rms(both.Py - py_mean)
+    want = {"px_mean": px_mean, "py_mean": py_mean, "px": px, "py": py,
+            "c": rms(both.Cstar), "cx": rms(only_x.Cstar),
+            "cy": rms(only_y.Cstar)}
+    assert got_scales.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(got_scales[name], want[name])
+    want_memory = autoencoder.build_memory((both.Px - px_mean) / px,
+                                           (both.Py - py_mean) / py, Lb)
+    for mod in ("x", "y"):
+        got, exp = got_memory[mod], want_memory[mod]
+        np.testing.assert_array_equal(got.prototypes, exp.prototypes)
+        np.testing.assert_array_equal(got.weights, exp.weights)
+        assert got.dist_scale == exp.dist_scale
+        assert got.out_scale == exp.out_scale
+
+
 def test_recall_returns_weighted_nearest_prototype():
     # with a sharp attention a code sitting on prototype a recalls
     # weights[a] * prototype[a], at the stored output scale

@@ -218,6 +218,58 @@ def test_eval_missing_codes_file_is_runtime_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _drop_manifest_key(container, key):
+    path = container / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+
+
+def _one_line_error(capsys, prefix, key):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and repr(key) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_train_dataset_manifest_missing_key_is_one_line_error(tmp_path,
+                                                              capsys):
+    data = _gen(tmp_path)
+    _drop_manifest_key(data / "dataset", "base_indices")
+    capsys.readouterr()
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(tmp_path / "r")])
+    # a rejected input artifact is a validation error, like a CRC mismatch
+    assert code == 1
+    _one_line_error(capsys, "error:", "base_indices")
+
+
+def test_resume_checkpoint_manifest_missing_key_is_runtime_error(tmp_path,
+                                                                capsys):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    _drop_manifest_key(run / "checkpoint_ae", "nets")
+    capsys.readouterr()
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(run), "--k", "4", "--max-epochs", "2",
+                    "--seed", "0", "--resume"])
+    assert code == 2
+    _one_line_error(capsys, "runtime error:", "nets")
+
+
+def test_eval_codes_manifest_missing_key_is_one_line_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    qx = _encode(tmp_path, data, run, "x", "query", "e1")
+    by = _encode(tmp_path, data, run, "y", "base", "e2")
+    _drop_manifest_key(by, "shape")
+    capsys.readouterr()
+    code = run_cli(["eval", "--query-codes", str(qx), "--base-codes", str(by),
+                    "--dataset", str(data / "dataset"),
+                    "--direction", "i2t", "--out", str(tmp_path / "ev")])
+    assert code == 1
+    _one_line_error(capsys, "error:", "shape")
+
+
 # -------------------------------------------------------------------- ablate
 
 def test_ablate_writes_all_variant_reports(tmp_path):

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from tailhash import hsic, nn
-from tailhash.verify import hsic_expanded_oracle
+from tailhash.verify import hsic_expanded_oracle, hsic_grad_oracle
 
 
 def test_rbf_kernel_identical_rows_all_ones():
     P = np.tile(np.array([[1.0, -2.0]]), (4, 1))
-    K = hsic.rbf_kernel(P, 1.0).K
+    K = hsic.rbf_kernel(P, 1.0)
     np.testing.assert_allclose(K, np.ones((4, 4)))
 
 
 def test_rbf_kernel_known_distance():
     # rows at squared distance sigma -> off-diagonal exp(-1)
     P = np.array([[0.0], [2.0]])
-    K = hsic.rbf_kernel(P, 4.0).K
+    K = hsic.rbf_kernel(P, 4.0)
     assert K[0, 1] == pytest.approx(np.exp(-1.0))
     assert K[0, 0] == 1.0
 
@@ -25,7 +25,7 @@ def test_rbf_kernel_matches_elementwise_recomputation():
     rng = np.random.default_rng(0)
     P = rng.standard_normal((5, 3))
     sigma = 2.5
-    K = hsic.rbf_kernel(P, sigma).K
+    K = hsic.rbf_kernel(P, sigma)
     for a in range(5):
         for b in range(5):
             expected = np.exp(-np.sum((P[a] - P[b]) ** 2) / sigma)
@@ -34,7 +34,7 @@ def test_rbf_kernel_matches_elementwise_recomputation():
 
 def test_rbf_kernel_properties():
     rng = np.random.default_rng(1)
-    K = hsic.rbf_kernel(rng.standard_normal((6, 2)), 1.7).K
+    K = hsic.rbf_kernel(rng.standard_normal((6, 2)), 1.7)
     assert np.allclose(K, K.T)
     assert np.allclose(np.diag(K), 1.0)
     assert np.all(K > 0) and np.all(K <= 1)
@@ -48,14 +48,14 @@ def test_rbf_kernel_rejects_bad_sigma():
 def test_hsic_constant_kernel_is_zero():
     rng = np.random.default_rng(2)
     Kx = np.ones((5, 5))                          # constant codes
-    Ky = hsic.rbf_kernel(rng.standard_normal((5, 2)), 1.0).K
+    Ky = hsic.rbf_kernel(rng.standard_normal((5, 2)), 1.0)
     assert abs(hsic.hsic_value(Kx, Ky)) <= 1e-14
 
 
 def test_hsic_symmetric_in_arguments():
     rng = np.random.default_rng(3)
-    Kx = hsic.rbf_kernel(rng.standard_normal((6, 2)), 1.0).K
-    Ky = hsic.rbf_kernel(rng.standard_normal((6, 3)), 2.0).K
+    Kx = hsic.rbf_kernel(rng.standard_normal((6, 2)), 1.0)
+    Ky = hsic.rbf_kernel(rng.standard_normal((6, 3)), 2.0)
     assert hsic.hsic_value(Kx, Ky) == pytest.approx(hsic.hsic_value(Ky, Kx))
 
 
@@ -100,7 +100,7 @@ def test_hsic_grad_zero_for_constant_rows():
     rng = np.random.default_rng(7)
     Px = np.tile(np.array([[1.0, 2.0]]), (5, 1))
     Py = rng.standard_normal((5, 2))
-    gx, _ = hsic.hsic_grad(Px, Py, (1.0, 1.0))
+    _, gx, _ = hsic.hsic_value_and_grad(Px, Py)
     np.testing.assert_allclose(gx, 0.0, atol=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_hsic_grad_matches_finite_differences():
         Px = rng.standard_normal((n, 3))
         Py = rng.standard_normal((n, 2))
         sx, sy = hsic.bandwidth(Px), hsic.bandwidth(Py)
-        gx, gy = hsic.hsic_grad(Px, Py, (sx, sy))
+        _, gx, gy = hsic.hsic_value_and_grad(Px, Py)
         fx = nn.finite_diff_grad(
             lambda P: hsic.hsic_value(hsic.rbf_kernel(P, sx),
                                       hsic.rbf_kernel(Py, sy)), Px)
@@ -128,15 +128,41 @@ def test_hsic_grad_swap_symmetry():
     rng = np.random.default_rng(9)
     Px = rng.standard_normal((5, 2))
     Py = rng.standard_normal((5, 2))
-    gx, gy = hsic.hsic_grad(Px, Py, (1.4, 0.9))
-    gy2, gx2 = hsic.hsic_grad(Py, Px, (0.9, 1.4))
+    _, gx, gy = hsic.hsic_value_and_grad(Px, Py)
+    _, gy2, gx2 = hsic.hsic_value_and_grad(Py, Px)
     np.testing.assert_allclose(gx, gx2, atol=1e-12)
     np.testing.assert_allclose(gy, gy2, atol=1e-12)
 
 
-def test_hsic_grad_rejects_degenerate_sigma():
+@pytest.mark.parametrize("rows", [(3, 4), (1, 1)],
+                         ids=["mismatched", "single"])
+def test_hsic_grad_rejects_bad_row_counts(rows):
     with pytest.raises(ValueError):
-        hsic.hsic_grad(np.zeros((3, 2)), np.zeros((3, 2)), (0.0, 1.0))
+        hsic.hsic_value_and_grad(np.zeros((rows[0], 2)),
+                                 np.zeros((rows[1], 2)))
+
+
+def test_hsic_value_and_grad_value_matches_composed_path():
+    rng = np.random.default_rng(10)
+    for n in (2, 3, 17, 128, 129):
+        Px = rng.standard_normal((n, 16))
+        Py = rng.standard_normal((n, 16))
+        value, _, _ = hsic.hsic_value_and_grad(Px, Py)
+        assert value == hsic.hsic_value(
+            hsic.rbf_kernel(Px, hsic.bandwidth(Px)),
+            hsic.rbf_kernel(Py, hsic.bandwidth(Py)))
+
+
+def test_hsic_value_and_grad_matches_dense_oracle():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 128, 129):
+        Px = rng.standard_normal((n, 16))
+        Py = 0.1 * rng.standard_normal((n, 16))
+        _, gx, gy = hsic.hsic_value_and_grad(Px, Py)
+        ox, oy = hsic_grad_oracle(Px, Py, hsic.bandwidth(Px),
+                                  hsic.bandwidth(Py))
+        for got, want in ((gx, ox), (gy, oy)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_bandwidth_is_mean_offdiagonal_sq_distance():

@@ -153,6 +153,26 @@ def test_sigmoid_stable_for_extreme_inputs():
     assert vals[0] == 0.0 and vals[1] == 0.5 and vals[2] == 1.0
 
 
+def _sigmoid_branch_form(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_identical_to_branch_form():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        745.0, -745.0, 745.2, -745.2, 1000.0, -1000.0])
+    rng = np.random.default_rng(7)
+    z = np.concatenate([special] + [s * rng.standard_normal(4000)
+                                    for s in (1.0, 10.0, 100.0, 1000.0)])
+    got = nn.sigmoid(z)
+    want = _sigmoid_branch_form(z)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_softplus_stable_and_accurate():
     z = np.array([-800.0, -1.0, 0.0, 1.0, 800.0])
     out = nn.softplus(z)
