@@ -39,10 +39,12 @@ class LabelAffinity:
 
 def pair_similarity(L: np.ndarray) -> np.ndarray:
     """S_ij = 1 iff samples i and j share at least one label."""
-    L = np.asarray(L)
+    L = np.asarray(L, dtype=np.float64)
     if np.any(L.sum(axis=1) == 0):
         raise ValueError("every sample must carry at least one label")
-    return (L.astype(np.int64) @ L.T.astype(np.int64) > 0).astype(np.uint8)
+    # shared-label counts are exact in float64, and a float GEMM runs in BLAS
+    # where an integer product has no fast path
+    return (L @ L.T > 0).astype(np.uint8)
 
 
 def avg_hausdorff(set_a: np.ndarray, set_b: np.ndarray) -> float:

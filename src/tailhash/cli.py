@@ -112,6 +112,19 @@ def _load_dataset(path) -> datagen.Dataset:
         raise CliError(str(e))
 
 
+def _check_resumable(path: Path, ckpt: store.Checkpoint,
+                     cfg: experiment.RunConfig,
+                     dataset: datagen.Dataset) -> None:
+    """Reject a phase-1 checkpoint whose shapes do not fit this run."""
+    for name, have, want in (
+            ("k", ckpt.icae.k, cfg.k),
+            ("raw_dim_x", ckpt.icae.feat_x.in_dim, dataset.Fx_raw.shape[1]),
+            ("raw_dim_y", ckpt.icae.feat_y.in_dim, dataset.Fy_raw.shape[1])):
+        if have != want:
+            raise CliError(f"cannot resume from {path}: checkpoint has "
+                           f"{name} = {have}, this run needs {want}")
+
+
 def cmd_train(args) -> int:
     out = _out_dir(args)
     cfg = _run_config(args)
@@ -124,6 +137,7 @@ def cmd_train(args) -> int:
     resumed = False
     if args.resume and (ae_path / "manifest.json").exists():
         ckpt = store.load_checkpoint(ae_path, expect_phase="ae")
+        _check_resumable(ae_path, ckpt, cfg, dataset)
         icae, side, trace1 = ckpt.icae, ckpt.side, ckpt.loss_trace
         resumed = True
     else:

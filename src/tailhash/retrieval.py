@@ -16,6 +16,10 @@ import numpy as np
 
 from . import autoencoder, hashing, meta
 
+# ranked items (query rows x base size) scored per block; bounds the block's
+# relevance, order and ranked-relevance temporaries whatever the split sizes
+BLOCK_ELEMS = 1 << 18
+
 
 @dataclass
 class EvalReport:
@@ -54,79 +58,91 @@ def encode_query(modality: str, raw: np.ndarray,
     return np.where(M >= 0.0, 1.0, -1.0)
 
 
-def hamming(b1: np.ndarray, b2: np.ndarray) -> int:
-    """Number of disagreeing bits between two codes."""
-    b1 = np.asarray(b1).ravel()
-    b2 = np.asarray(b2).ravel()
-    if b1.shape != b2.shape:
-        raise ValueError("code lengths must match")
-    return int(np.count_nonzero(b1 != b2))
-
-
 def hamming_matrix(query_codes: np.ndarray, base_codes: np.ndarray) -> np.ndarray:
-    """All pairwise Hamming distances, (nq, nb), via (k - <b1, b2>) / 2."""
-    Q = np.asarray(query_codes, dtype=np.float64)
-    D = np.asarray(base_codes, dtype=np.float64)
+    """All pairwise Hamming distances, (nq, nb), from bit-packed codes.
+
+    Codes are (k, n) matrices of exact +/-1. Each is packed along k into
+    ceil(k / 8) bytes per item; the distance sums the popcount of the XOR of
+    each byte, in the narrowest unsigned type that holds k.
+    """
+    Q = np.asarray(query_codes)
+    D = np.asarray(base_codes)
+    if Q.ndim != 2 or D.ndim != 2:
+        raise ValueError("codes must be (k, n) matrices")
     k = Q.shape[0]
-    # in place: one (nq, nb) matrix alive instead of two
-    dist = Q.T @ D
-    np.subtract(k, dist, out=dist)
-    dist /= 2.0
+    if D.shape[0] != k:
+        raise ValueError(f"code lengths must match: {k} vs {D.shape[0]}")
+    if not (np.all(np.abs(Q) == 1) and np.all(np.abs(D) == 1)):
+        raise ValueError("codes must be exactly +/-1")
+    # packing cannot tell k = 9 from k = 10, hence the length check above;
+    # the zero pad bits agree in both operands and add nothing
+    q = np.packbits(Q > 0, axis=0)
+    b = np.packbits(D > 0, axis=0)
+    dist = np.zeros((Q.shape[1], D.shape[1]), dtype=np.min_scalar_type(k))
+    byte = np.empty(dist.shape, dtype=np.uint8)
+    for qi, bi in zip(q, b):
+        np.bitwise_xor(qi[:, None], bi[None, :], out=byte)
+        np.bitwise_count(byte, out=byte)
+        dist += byte
     return dist
 
 
-def _ranking(query_codes, query_labels, base_codes, base_labels
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Relevance (nq, nb) and each query's base order by Hamming distance.
+def _score(query_codes, query_labels, base_codes, base_labels,
+           topR: Optional[int], ks: Sequence[int]
+           ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Per-query AP, relevance flags and precision@k for each k in ks.
 
-    The distances are small integers, so the stable sort runs on the
-    narrowest unsigned type that holds k: the same keys in the same stable
-    order, sorted far faster than as float64. The float matrix is freed
-    before the order array is allocated.
+    A base item is ranked by Hamming distance, ties by base index (a stable
+    sort). Queries are scored in blocks of about BLOCK_ELEMS ranked items,
+    so only one block's order exists at a time. Relevance counts shared
+    labels with a float64 GEMM: the counts are exact, and BLAS runs it where
+    an integer product has no fast path. The j-th hit at 0-based rank p adds
+    j / (p + 1) to its query's AP, which sums its own hits in rank order.
     """
-    rel = (np.asarray(query_labels, dtype=np.int64)
-           @ np.asarray(base_labels, dtype=np.int64).T) > 0
-    k = np.shape(query_codes)[0]
-    order = np.argsort(hamming_matrix(query_codes, base_codes)
-                       .astype(np.min_scalar_type(k)), axis=1, kind="stable")
-    return rel, order
-
-
-def _average_precisions(rel: np.ndarray, order: np.ndarray,
-                        topR: Optional[int]) -> np.ndarray:
-    nq, nb = rel.shape
+    dist = hamming_matrix(query_codes, base_codes)
+    Lq = np.asarray(query_labels, dtype=np.float64)
+    LbT = np.asarray(base_labels, dtype=np.float64).T
+    nq, nb = dist.shape
     limit = nb if topR is None else min(topR, nb)
     aps = np.full(nq, np.nan)
-    for i in range(nq):
-        if not rel[i].any():
-            continue
-        r = rel[i, order[i, :limit]]
-        hits = int(r.sum())
-        if hits == 0:
-            aps[i] = 0.0
-            continue
-        prec = np.cumsum(r) / np.arange(1, limit + 1)
-        aps[i] = float(prec[r].sum() / hits)
-    return aps
+    valid = np.zeros(nq, dtype=bool)
+    hits_at = [np.zeros(nq, dtype=np.int64) for _ in ks]
+    rows = max(1, BLOCK_ELEMS // max(nb, 1))
+    for start in range(0, nq, rows):
+        blk = slice(start, start + rows)
+        rel = Lq[blk] @ LbT > 0
+        valid[blk] = rel.any(axis=1)
+        order = np.argsort(dist[blk], axis=1, kind="stable")
+        ranked = np.take_along_axis(rel, order, axis=1)
+        for k, hits in zip(ks, hits_at):
+            hits[blk] = ranked[:, :min(k, nb)].sum(axis=1)
+        top = ranked[:, :limit]
+        n_hits = np.count_nonzero(top, axis=1)
+        ends = np.cumsum(n_hits)
+        # flat indices of the hits, row by row, then each hit's 0-based rank
+        # p and its 1-based count j within its row
+        hit = np.flatnonzero(top)
+        p = hit - np.repeat(np.arange(top.shape[0]) * limit, n_hits)
+        j = np.arange(1, hit.size + 1) - np.repeat(ends - n_hits, n_hits)
+        sums = [part.sum() for part in np.split(j / (p + 1), ends[:-1])]
+        ap = np.zeros(len(sums))
+        np.divide(sums, n_hits, out=ap, where=n_hits > 0)
+        aps[blk] = np.where(valid[blk], ap, np.nan)
+    return aps, valid, [hits / min(k, nb) for k, hits in zip(ks, hits_at)]
 
 
-def _precision_at(rel: np.ndarray, order: np.ndarray,
-                  ks: Sequence[int]) -> list[tuple[int, float]]:
-    valid = rel.any(axis=1)
-    out = []
-    for k in ks:
-        k_eff = min(k, rel.shape[1])
-        hits = np.take_along_axis(rel, order[:, :k_eff], axis=1).sum(axis=1)
-        out.append((int(k), float((hits[valid] / k_eff).mean())))
-    return out
+def _precisions(ks: Sequence[int], per_query: list[np.ndarray],
+                valid: np.ndarray) -> list[tuple[int, float]]:
+    """Mean precision@k over the queries with a relevant base item."""
+    return [(int(k), float(p[valid].mean())) for k, p in zip(ks, per_query)]
 
 
 def average_precisions(query_codes: np.ndarray, query_labels: np.ndarray,
                        base_codes: np.ndarray, base_labels: np.ndarray,
                        topR: Optional[int] = None) -> np.ndarray:
     """Per-query AP; NaN marks queries with no relevant base item."""
-    rel, order = _ranking(query_codes, query_labels, base_codes, base_labels)
-    return _average_precisions(rel, order, topR)
+    return _score(query_codes, query_labels, base_codes, base_labels,
+                  topR, ())[0]
 
 
 def mean_average_precision(query_codes, query_labels, base_codes, base_labels,
@@ -141,8 +157,9 @@ def mean_average_precision(query_codes, query_labels, base_codes, base_labels,
 
 def precision_at(query_codes, query_labels, base_codes, base_labels,
                  ks: Sequence[int]) -> list[tuple[int, float]]:
-    rel, order = _ranking(query_codes, query_labels, base_codes, base_labels)
-    return _precision_at(rel, order, ks)
+    _, valid, per_query = _score(query_codes, query_labels, base_codes,
+                                 base_labels, None, ks)
+    return _precisions(ks, per_query, valid)
 
 
 def per_label_breakdown(aps: np.ndarray, query_labels: np.ndarray,
@@ -178,9 +195,8 @@ def evaluate(direction: str, query_codes, query_labels, base_codes,
     """Full retrieval evaluation in one direction."""
     start = time.perf_counter()
     # one ranking serves both AP and precision@k
-    rel, order = _ranking(query_codes, query_labels, base_codes, base_labels)
-    aps = _average_precisions(rel, order, topR)
-    valid = ~np.isnan(aps)
+    aps, valid, per_query = _score(query_codes, query_labels, base_codes,
+                                   base_labels, topR, ks)
     if not valid.any():
         raise ValueError("no query has a relevant base item")
     label_order = np.argsort(-np.asarray(label_counts), kind="stable")
@@ -189,7 +205,7 @@ def evaluate(direction: str, query_codes, query_labels, base_codes,
     return EvalReport(
         direction=direction,
         map=float(aps[valid].mean()),
-        precision_at=_precision_at(rel, order, ks),
+        precision_at=_precisions(ks, per_query, valid),
         per_label_map=per_label,
         head_tail_split_index=int(head_count),
         head_map=head_map,

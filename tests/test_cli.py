@@ -110,6 +110,26 @@ def test_train_resume_skips_phase_one(tmp_path):
     assert (run / "checkpoint_ae" / "manifest.json").read_bytes() == before
 
 
+@pytest.mark.parametrize("k, gen_extra, mismatch", [
+    ("8", (), "k = 4, this run needs 8"),
+    ("4", ("--raw-dim-x", "12"), "raw_dim_x = 10, this run needs 12")],
+    ids=["k", "raw_dim_x"])
+def test_train_resume_rejects_incompatible_checkpoint(tmp_path, capsys, k,
+                                                      gen_extra, mismatch):
+    run = _train(tmp_path, _gen(tmp_path))
+    before = (run / "checkpoint_hash" / "manifest.json").read_bytes()
+    data = _gen(tmp_path, "d2", extra=gen_extra)
+    capsys.readouterr()
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(run), "--k", k, "--max-epochs", "2",
+                    "--seed", "0", "--resume"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and mismatch in err
+    assert len(err.strip().splitlines()) == 1
+    assert (run / "checkpoint_hash" / "manifest.json").read_bytes() == before
+
+
 def test_train_missing_dataset_is_validation_error(tmp_path):
     code = run_cli(["train", "--dataset", str(tmp_path / "nope"),
                     "--out", str(tmp_path / "r")])

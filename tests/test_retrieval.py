@@ -7,37 +7,35 @@ from tailhash import autoencoder, datagen, experiment, hashing, retrieval
 from tailhash.verify import map_oracle
 
 
-def test_hamming_identical_and_negated():
-    b = np.array([1.0, -1.0, 1.0, 1.0])
-    assert retrieval.hamming(b, b) == 0
-    assert retrieval.hamming(b, -b) == 4
-
-
-def test_hamming_matches_bit_loop():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        k = int(rng.integers(1, 10))
-        b1 = np.where(rng.random(k) < 0.5, 1.0, -1.0)
-        b2 = np.where(rng.random(k) < 0.5, 1.0, -1.0)
-        expected = sum(1 for i in range(k) if b1[i] != b2[i])
-        assert retrieval.hamming(b1, b2) == expected
-        # inner-product identity for +/-1 codes
-        assert retrieval.hamming(b1, b2) == (k - b1 @ b2) / 2
-
-
-def test_hamming_length_mismatch():
-    with pytest.raises(ValueError):
-        retrieval.hamming(np.ones(3), np.ones(4))
-
-
 def test_hamming_matrix_matches_pairwise():
     rng = np.random.default_rng(1)
-    Q = np.where(rng.random((5, 4)) < 0.5, 1.0, -1.0)
-    D = np.where(rng.random((5, 7)) < 0.5, 1.0, -1.0)
-    dist = retrieval.hamming_matrix(Q, D)
-    for i in range(4):
-        for j in range(7):
-            assert dist[i, j] == retrieval.hamming(Q[:, i], D[:, j])
+    # 7, 8, 9 and 17 bits sit on either side of a packed-byte boundary
+    for k in (1, 5, 7, 8, 9, 17):
+        Q = np.where(rng.random((k, 4)) < 0.5, 1.0, -1.0)
+        D = np.where(rng.random((k, 7)) < 0.5, 1.0, -1.0)
+        dist = retrieval.hamming_matrix(Q, D)
+        assert dist.shape == (4, 7)
+        for i in range(4):
+            for j in range(7):
+                assert dist[i, j] == sum(1 for t in range(k)
+                                         if Q[t, i] != D[t, j])
+
+
+def test_hamming_matrix_rejects_mismatched_lengths():
+    # k = 9 and k = 10 pack to the same two bytes
+    with pytest.raises(ValueError):
+        retrieval.hamming_matrix(np.ones((9, 2)), np.ones((10, 3)))
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, 2.0, np.nan])
+def test_hamming_matrix_rejects_non_pm1_entries(bad):
+    Q = np.ones((4, 2))
+    D = -np.ones((4, 3))
+    Q[1, 1] = bad
+    with pytest.raises(ValueError):
+        retrieval.hamming_matrix(Q, D)
+    with pytest.raises(ValueError):
+        retrieval.hamming_matrix(D, Q)
 
 
 def test_map_all_relevant_is_one():
@@ -133,6 +131,51 @@ def test_precision_at_counts_hits():
     assert out[1] == pytest.approx(1.0)
     assert out[2] == pytest.approx(0.5)
     assert out[3] == pytest.approx(2 / 3)
+
+
+def _tied_instance():
+    """Queries against a base of five distinct codes (many tied distances);
+    label 3 is on no base item, so queries carrying only it have no
+    relevant item."""
+    rng = np.random.default_rng(4)
+    nq, nb, c = 23, 40, 4
+    Q = np.where(rng.random((6, nq)) < 0.5, 1.0, -1.0)
+    codes = np.where(rng.random((6, 5)) < 0.5, 1.0, -1.0)
+    D = codes[:, rng.integers(0, 5, nb)]
+    Lq = (rng.random((nq, c)) < 0.4).astype(np.uint8)
+    Lq[[2, nq - 1]] = [0, 0, 0, 1]
+    Lb = (rng.random((nb, c)) < 0.4).astype(np.uint8)
+    Lb[:, 3] = 0
+    Lb[Lb.sum(axis=1) == 0, 0] = 1
+    return Q, Lq, D, Lb
+
+
+@pytest.mark.parametrize("topR", [None, 15])
+def test_evaluate_identical_across_query_blocks(monkeypatch, topR):
+    Q, Lq, D, Lb = _tied_instance()
+    nb = D.shape[1]
+
+    def run(block_elems):
+        monkeypatch.setattr(retrieval, "BLOCK_ELEMS", block_elems)
+        report = retrieval.evaluate("i2t", Q, Lq, D, Lb, Lb.sum(axis=0), 2,
+                                    ks=(1, 5, 100), topR=topR)
+        report.runtime = 0.0
+        aps = retrieval.average_precisions(Q, Lq, D, Lb, topR)
+        return report, aps
+
+    default = run(retrieval.BLOCK_ELEMS)
+    assert default[0].n_excluded >= 2
+    for rows in (1, 4):
+        report, aps = run(rows * nb)
+        assert report == default[0]
+        np.testing.assert_array_equal(aps, default[1])
+    # blocks of 4 rows: the first and the (short) last block
+    for i in (0, 1, 2, 3, 20, 21, 22):
+        if np.isnan(aps[i]):
+            assert not (Lq[i] @ Lb.T).any()
+            continue
+        assert aps[i] == pytest.approx(
+            map_oracle(Q[:, [i]], Lq[[i]], D, Lb, topR), abs=1e-12)
 
 
 # -------------------------------------------------------- per-label breakdown
