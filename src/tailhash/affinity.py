@@ -8,10 +8,13 @@ with its gradient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from . import _pool
 
 SIGMA_FLOOR = 1e-8
 # elements of one row block's distance matrix in the nearest-member pass;
@@ -95,23 +98,37 @@ def label_affinity(features: np.ndarray, L: np.ndarray) -> LabelAffinity:
 def _nearest_member_sq_dists(features: np.ndarray,
                              members: np.ndarray) -> np.ndarray:
     """(n, c) squared distance from each sample to its nearest member of
-    each label; exactly 0 where the sample carries the label."""
+    each label; exactly 0 where the sample carries the label.
+
+    Each label's pass fills only its own column. A large enough set of
+    passes is shared among worker threads, largest first; the row blocks
+    then split BLOCK_ELEMS among the workers, which keeps the temporaries
+    in the same budget.
+    """
     n, c = members.shape
     sq = np.einsum("ij,ij->i", features, features)
     nn2 = np.zeros((n, c))
-    for b in range(c):
-        # a member is its own nearest member, so only the others are searched
+    counts = members.sum(axis=0)
+    # a member is its own nearest member, so only the others are searched
+    work = (n - counts) * counts
+    workers = _pool.workers_for(work.sum() / BLOCK_ELEMS)
+    budget = BLOCK_ELEMS // workers
+
+    def label_pass(b: int) -> None:
         rows = np.flatnonzero(~members[:, b])
-        Y = features[members[:, b]]
-        Ym2 = -2.0 * Y           # exact scaling: X @ Ym2.T == -2 X Y^T
+        Ym2 = features[members[:, b]]
+        Ym2 *= -2.0              # exact scaling: X @ Ym2.T == -2 X Y^T
         sq_y = sq[members[:, b]]
-        step = max(1, BLOCK_ELEMS // Y.shape[0])
+        step = max(1, budget // Ym2.shape[0])
         for start in range(0, rows.size, step):
             blk = rows[start:start + step]
             G = features[blk] @ Ym2.T
             G += sq_y
             # ||x||^2 is constant along a row: add it after the min
             nn2[blk, b] = sq[blk] + G.min(axis=1)
+
+    _pool.run([functools.partial(label_pass, b)
+               for b in np.argsort(-work, kind="stable")], workers)
     # GEMM round-off can leave a tiny negative square
     return np.maximum(nn2, 0.0)
 
@@ -123,12 +140,6 @@ def pooling_matrix(L: np.ndarray) -> np.ndarray:
     if np.any(counts == 0):
         raise ValueError("every label must have at least one sample")
     return L / counts[None, :]
-
-
-def label_prototypes(codes: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Mean commonality code per label; columns are labels, (k, c)."""
-    W = pooling_matrix(L)
-    return np.asarray(codes, dtype=np.float64).T @ W
 
 
 def j1_loss_and_grad(prototypes: np.ndarray, aff_x: LabelAffinity,

@@ -353,9 +353,12 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
     dPy = params.beta * gPy_rows.T + rec["dPy"].T
 
     grads = {
-        "enc_ind_x": nn.backward(params.enc_ind_x, tape_ix, dPx)[0],
-        "enc_ind_y": nn.backward(params.enc_ind_y, tape_iy, dPy)[0],
-        "enc_common": nn.backward(params.enc_common, tape_c, dCs)[0],
+        "enc_ind_x": nn.backward(params.enc_ind_x, tape_ix, dPx,
+                                 input_grad=False)[0],
+        "enc_ind_y": nn.backward(params.enc_ind_y, tape_iy, dPy,
+                                 input_grad=False)[0],
+        "enc_common": nn.backward(params.enc_common, tape_c, dCs,
+                                  input_grad=False)[0],
         "dec_x": rec["dec_x"],
         "dec_y": rec["dec_y"],
     }

@@ -115,9 +115,12 @@ def _load_dataset(path) -> datagen.Dataset:
 def _check_resumable(path: Path, ckpt: store.Checkpoint,
                      cfg: experiment.RunConfig,
                      dataset: datagen.Dataset) -> None:
-    """Reject a phase-1 checkpoint whose shapes do not fit this run."""
+    """Reject a phase-1 checkpoint whose shapes or loss weights do not fit
+    this run."""
     for name, have, want in (
             ("k", ckpt.icae.k, cfg.k),
+            ("alpha", ckpt.icae.alpha, cfg.alpha),
+            ("beta", ckpt.icae.beta, cfg.beta),
             ("raw_dim_x", ckpt.icae.feat_x.in_dim, dataset.Fx_raw.shape[1]),
             ("raw_dim_y", ckpt.icae.feat_y.in_dim, dataset.Fy_raw.shape[1])):
         if have != want:

@@ -148,5 +148,6 @@ def meta_backward(side: ModalitySide, fwd: MetaForward, dM: np.ndarray) -> dict:
         dE1 = dM_rows * fwd.Cstar
         sel1_grads, dF_sel1 = nn.backward(side.selector1, fwd.sel1_tape, dE1.T)
         dF += dF_sel1.T
-    proj_grads, _ = nn.backward(side.projector, fwd.proj_tape, dF.T)
+    proj_grads, _ = nn.backward(side.projector, fwd.proj_tape, dF.T,
+                                input_grad=False)
     return {"projector": proj_grads, "selector1": sel1_grads}

@@ -13,7 +13,7 @@ backward pass here, and is checked against :func:`finite_diff_grad`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -138,11 +138,15 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
     return x, tape
 
 
-def backward(mlp: Mlp, tape: list, upstream: np.ndarray
-             ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+def backward(mlp: Mlp, tape: list, upstream: np.ndarray,
+             input_grad: bool = True
+             ) -> tuple[list[tuple[np.ndarray, np.ndarray]],
+                        Optional[np.ndarray]]:
     """Backprop an upstream d(loss)/d(output) through the net.
 
-    Returns ([(dW, db) per layer, in layer order], d(loss)/d(input)).
+    Returns ([(dW, db) per layer, in layer order], d(loss)/d(input)); the
+    input gradient is None, and its product is skipped, when ``input_grad``
+    is False.
     """
     if len(tape) != len(mlp.layers):
         raise ValueError("tape does not match net depth")
@@ -155,19 +159,14 @@ def backward(mlp: Mlp, tape: list, upstream: np.ndarray
         x, z, a = tape[i]
         dz = da * ACTIVATIONS[layer.activation][1](z, a)
         grads[i] = (dz @ x.T, dz.sum(axis=1))
-        da = layer.weight.T @ dz
-    return grads, da
+        if i or input_grad:
+            da = layer.weight.T @ dz
+    return grads, da if input_grad else None
 
 
 def zero_grads(mlp: Mlp) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.zeros_like(l.weight), np.zeros_like(l.bias))
             for l in mlp.layers]
-
-
-def add_grads(acc: list, extra: list, scale: float = 1.0) -> list:
-    """acc += scale * extra, elementwise over (dW, db) pairs."""
-    return [(gw + scale * ew, gb + scale * eb)
-            for (gw, gb), (ew, eb) in zip(acc, extra)]
 
 
 def sgd_step(mlp: Mlp, grads: list, learning_rate: float) -> Mlp:

@@ -8,13 +8,14 @@ from MAP and surfaced in the report.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autoencoder, hashing, meta
+from . import _pool, autoencoder, hashing, meta
 
 # ranked items (query rows x base size) scored per block; bounds the block's
 # relevance, order and ranked-relevance temporaries whatever the split sizes
@@ -94,10 +95,12 @@ def _score(query_codes, query_labels, base_codes, base_labels,
 
     A base item is ranked by Hamming distance, ties by base index (a stable
     sort). Queries are scored in blocks of about BLOCK_ELEMS ranked items,
-    so only one block's order exists at a time. Relevance counts shared
-    labels with a float64 GEMM: the counts are exact, and BLAS runs it where
-    an integer product has no fast path. The j-th hit at 0-based rank p adds
-    j / (p + 1) to its query's AP, which sums its own hits in rank order.
+    so each thread holds one block's order at a time. A large enough query
+    set is shared among worker threads, whose blocks split BLOCK_ELEMS among
+    them; each block fills only its own rows. Relevance counts shared labels with
+    a float64 GEMM: the counts are exact, and BLAS runs it where an integer
+    product has no fast path. The j-th hit at 0-based rank p adds j / (p + 1)
+    to its query's AP, which sums its own hits in rank order.
     """
     dist = hamming_matrix(query_codes, base_codes)
     Lq = np.asarray(query_labels, dtype=np.float64)
@@ -107,9 +110,10 @@ def _score(query_codes, query_labels, base_codes, base_labels,
     aps = np.full(nq, np.nan)
     valid = np.zeros(nq, dtype=bool)
     hits_at = [np.zeros(nq, dtype=np.int64) for _ in ks]
-    rows = max(1, BLOCK_ELEMS // max(nb, 1))
-    for start in range(0, nq, rows):
-        blk = slice(start, start + rows)
+    workers = _pool.workers_for(nq * nb / BLOCK_ELEMS)
+    rows = max(1, BLOCK_ELEMS // workers // max(nb, 1))
+
+    def score_block(blk: slice) -> None:
         rel = Lq[blk] @ LbT > 0
         valid[blk] = rel.any(axis=1)
         order = np.argsort(dist[blk], axis=1, kind="stable")
@@ -128,6 +132,9 @@ def _score(query_codes, query_labels, base_codes, base_labels,
         ap = np.zeros(len(sums))
         np.divide(sums, n_hits, out=ap, where=n_hits > 0)
         aps[blk] = np.where(valid[blk], ap, np.nan)
+
+    _pool.run([functools.partial(score_block, slice(start, start + rows))
+               for start in range(0, nq, rows)], workers)
     return aps, valid, [hits / min(k, nb) for k, hits in zip(ks, hits_at)]
 
 

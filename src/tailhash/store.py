@@ -67,12 +67,16 @@ def _write_array(root: Path, name: str, arr: np.ndarray) -> dict:
             "crc32": zlib.crc32(data)}
 
 
-def _read_array(root: Path, entry: dict) -> np.ndarray:
-    path = root / entry["file"]
+def _read_bytes(path: Path) -> bytes:
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
+
+
+def _read_array(root: Path, entry: dict) -> np.ndarray:
+    path = root / entry["file"]
+    data = _read_bytes(path)
     shape = tuple(entry["shape"])
     dtype = np.dtype(_DTYPES[entry["dtype"]])
     expected = int(np.prod(shape)) * dtype.itemsize
@@ -188,6 +192,15 @@ def unpack_codes(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     return np.where(bits.reshape(shape) > 0, 1.0, -1.0)
 
 
+def _read_codes(root: Path, entry: dict) -> np.ndarray:
+    """codes.bin of a container, checked against entry's CRC-32 and shape."""
+    path = root / "codes.bin"
+    data = _read_bytes(path)
+    if zlib.crc32(data) != entry["crc32"]:
+        raise ChecksumError(f"{path}: CRC-32 mismatch")
+    return unpack_codes(data, tuple(entry["shape"]))
+
+
 def save_codes(path, B: np.ndarray, info: Optional[dict] = None) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -207,10 +220,7 @@ def load_codes(path) -> tuple[np.ndarray, dict]:
     m = _read_manifest(root)
     if m.get("kind") != "codes":
         raise StoreError(f"{root} is not a codes container")
-    data = (root / "codes.bin").read_bytes()
-    if zlib.crc32(data) != m["crc32"]:
-        raise ChecksumError(f"{root}/codes.bin: CRC-32 mismatch")
-    return unpack_codes(data, tuple(m["shape"])), m["info"]
+    return _read_codes(root, m), m["info"]
 
 
 # ------------------------------------------------------------- checkpoints
@@ -334,10 +344,7 @@ def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
         y=meta.ModalitySide(nets["side.y.projector"], nets["side.y.selector1"]))
     B = None
     if "codes" in m:
-        data = (root / "codes.bin").read_bytes()
-        if zlib.crc32(data) != m["codes"]["crc32"]:
-            raise ChecksumError(f"{root}/codes.bin: CRC-32 mismatch")
-        B = unpack_codes(data, tuple(m["codes"]["shape"]))
+        B = _read_codes(root, m["codes"])
     return Checkpoint(phase=m["phase"], icae=icae, side=side,
                       hyper=m["hyper"], epoch=m["epoch"], seed=m["seed"],
                       loss_trace=m["loss_trace"], B=B)

@@ -136,28 +136,6 @@ def test_label_affinity_oracle():
     assert not passed
 
 
-# ----------------------------------------------------------- label_prototypes
-
-def test_label_prototypes_single_sample_per_label():
-    codes = np.array([[1.0, 2.0], [3.0, 4.0]])
-    L = np.eye(2, dtype=np.uint8)
-    P = affinity.label_prototypes(codes, L)
-    np.testing.assert_allclose(P, codes.T)
-
-
-def test_label_prototypes_matches_group_mean():
-    rng = np.random.default_rng(4)
-    codes = rng.standard_normal((8, 3))
-    L = (rng.random((8, 4)) < 0.5).astype(np.uint8)
-    L[:, 0] = 1   # no empty label
-    P = affinity.label_prototypes(codes, L)
-    for a in range(4):
-        members = codes[L[:, a] > 0]
-        if members.size:
-            np.testing.assert_allclose(P[:, a], members.mean(axis=0),
-                                       atol=1e-12)
-
-
 # ----------------------------------------------------------------- J1 and grad
 
 def _random_affinity(rng, c):

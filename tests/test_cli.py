@@ -110,24 +110,28 @@ def test_train_resume_skips_phase_one(tmp_path):
     assert (run / "checkpoint_ae" / "manifest.json").read_bytes() == before
 
 
-@pytest.mark.parametrize("k, gen_extra, mismatch", [
-    ("8", (), "k = 4, this run needs 8"),
-    ("4", ("--raw-dim-x", "12"), "raw_dim_x = 10, this run needs 12")],
-    ids=["k", "raw_dim_x"])
-def test_train_resume_rejects_incompatible_checkpoint(tmp_path, capsys, k,
+@pytest.mark.parametrize("flags, gen_extra, mismatch", [
+    (("--k", "8"), (), "k = 4, this run needs 8"),
+    ((), ("--raw-dim-x", "12"), "raw_dim_x = 10, this run needs 12"),
+    (("--alpha", "0.9"), (), "alpha = 0.05, this run needs 0.9"),
+    (("--beta", "0.5"), (), "beta = 0.05, this run needs 0.5")],
+    ids=["k", "raw_dim_x", "alpha", "beta"])
+def test_train_resume_rejects_incompatible_checkpoint(tmp_path, capsys, flags,
                                                       gen_extra, mismatch):
     run = _train(tmp_path, _gen(tmp_path))
     before = (run / "checkpoint_hash" / "manifest.json").read_bytes()
+    manifest = (run / "run_manifest.json").read_bytes()
     data = _gen(tmp_path, "d2", extra=gen_extra)
     capsys.readouterr()
     code = run_cli(["train", "--dataset", str(data / "dataset"),
-                    "--out", str(run), "--k", k, "--max-epochs", "2",
-                    "--seed", "0", "--resume"])
+                    "--out", str(run), "--k", "4", "--max-epochs", "2",
+                    "--seed", "0", "--resume", *flags])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and mismatch in err
     assert len(err.strip().splitlines()) == 1
     assert (run / "checkpoint_hash" / "manifest.json").read_bytes() == before
+    assert (run / "run_manifest.json").read_bytes() == manifest
 
 
 def test_train_missing_dataset_is_validation_error(tmp_path):
@@ -222,19 +226,28 @@ def test_eval_rejects_bad_direction(tmp_path):
     assert code == 1
 
 
-def test_eval_missing_codes_file_is_runtime_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["encode", "eval"])
+def test_missing_codes_file_is_one_line_error(tmp_path, capsys, command):
     data = _gen(tmp_path)
     run = _train(tmp_path, data)
     qx = _encode(tmp_path, data, run, "x", "query", "e1")
     by = _encode(tmp_path, data, run, "y", "base", "e2")
-    (by / "codes.bin").unlink()
+    if command == "encode":
+        missing = run / "checkpoint_hash" / "codes.bin"
+        argv = ["encode", "--checkpoint", str(run / "checkpoint_hash"),
+                "--modality", "x"]
+    else:
+        missing = by / "codes.bin"
+        argv = ["eval", "--query-codes", str(qx), "--base-codes", str(by),
+                "--direction", "i2t"]
+    missing.unlink()
     capsys.readouterr()
-    code = run_cli(["eval", "--query-codes", str(qx), "--base-codes", str(by),
-                    "--dataset", str(data / "dataset"),
-                    "--direction", "i2t", "--out", str(tmp_path / "ev")])
-    assert code == 2
+    code = run_cli([*argv, "--dataset", str(data / "dataset"),
+                    "--out", str(tmp_path / "out")])
+    # an unreadable input artifact is a validation error, like a CRC mismatch
+    assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("runtime error:") and "codes.bin" in err
+    assert err.startswith("error:") and str(missing) in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -95,6 +95,18 @@ def test_backward_input_gradient_matches_finite_differences():
     np.testing.assert_allclose(dx, numeric, rtol=1e-5, atol=1e-8)
 
 
+def test_backward_without_input_gradient_keeps_parameter_grads():
+    rng = np.random.default_rng(4)
+    net = nn.init_mlp([3, 4, 2], rng)
+    out, tape = nn.forward(net, rng.standard_normal((3, 5)))
+    full, _ = nn.backward(net, tape, out)
+    grads, dx = nn.backward(net, tape, out, input_grad=False)
+    assert dx is None
+    for (dW, db), (fW, fb) in zip(grads, full):
+        np.testing.assert_array_equal(dW, fW)
+        np.testing.assert_array_equal(db, fb)
+
+
 def test_sgd_zero_lr_keeps_params():
     rng = np.random.default_rng(5)
     net = nn.init_mlp([2, 3], rng)
