@@ -1,8 +1,8 @@
 """Process-wide worker threads for the blocked numpy passes.
 
-`affinity` (one task per label) and `retrieval` (one task per query block)
-split their largest passes here. numpy releases the interpreter lock inside
-its GEMMs, reductions and sorts, so the tasks overlap on separate CPUs. Each
+`affinity` splits its nearest-member passes here, one task per label.
+numpy releases the interpreter lock inside their GEMMs and reductions, so
+the tasks overlap on separate CPUs. Each
 task writes only its own part of the output, so results do not depend on
 the worker count. Tasks call numpy only: the tracing in ``perfbench`` assumes
 that every span of the package nests on one thread.

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from tailhash import _pool, affinity, retrieval
+from tailhash import _pool, affinity
 
 
 @pytest.fixture
@@ -53,36 +53,6 @@ def test_label_affinity_identical_at_any_worker_count(workers, monkeypatch, n):
     np.testing.assert_array_equal(got.H, want.H)
     np.testing.assert_array_equal(got.R, want.R)
     assert got.sigma == want.sigma
-
-
-@pytest.mark.parametrize("topR", [None, 15])
-@pytest.mark.parametrize("n", [1, 3])
-def test_ranking_identical_at_any_worker_count(workers, monkeypatch, n, topR):
-    rng = np.random.default_rng(1)
-    nq, nb, c = 31, 50, 4
-    Q = np.where(rng.random((6, nq)) < 0.5, 1.0, -1.0)
-    # five distinct base codes: many tied distances
-    codes = np.where(rng.random((6, 5)) < 0.5, 1.0, -1.0)
-    D = codes[:, rng.integers(0, 5, nb)]
-    Lq = (rng.random((nq, c)) < 0.4).astype(np.uint8)
-    Lq[[3, nq - 1]] = [0, 0, 0, 1]      # label 3 is on no base item
-    Lb = (rng.random((nb, c)) < 0.4).astype(np.uint8)
-    Lb[:, 3] = 0
-    Lb[Lb.sum(axis=1) == 0, 0] = 1
-
-    def run():
-        report = retrieval.evaluate("i2t", Q, Lq, D, Lb, Lb.sum(axis=0), 2,
-                                    ks=(1, 5, 100), topR=topR)
-        report.runtime = 0.0
-        return report, retrieval.average_precisions(Q, Lq, D, Lb, topR)
-
-    want_report, want_aps = run()
-    workers(n)
-    monkeypatch.setattr(retrieval, "BLOCK_ELEMS", 2 * nb)
-    got_report, got_aps = run()
-    assert got_report == want_report
-    assert got_report.n_excluded >= 2
-    np.testing.assert_array_equal(got_aps, want_aps)
 
 
 @pytest.mark.parametrize("raiser", ["caller", "helper"])
