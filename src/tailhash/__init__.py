@@ -8,12 +8,13 @@ Library layout:
                   Laplacian regularizer
 - ``hsic``        Hilbert-Schmidt independence criterion and gradient
 - ``autoencoder`` individuality-commonality autoencoder (phase 1)
-- ``meta``        direct-feature projectors, selectors, meta-feature fusion
+- ``meta``        per-modality projector, selector and fusion: the meta-feature
+                  forward pass of training and query encoding, and its backward
 - ``hashing``     likelihood loss, sign update, phase-2 trainer, ablations
 - ``retrieval``   query encoding, Hamming ranking, MAP, head/tail breakdown
 - ``store``       bit-exact dataset/checkpoint/codes/report file formats
 - ``experiment``  end-to-end orchestration helpers
-- ``verify``      gradient-check and oracle harness (also `tailhash check-grad`)
+- ``verify``      gradient checks and every oracle (also `tailhash check-grad`)
 - ``cli``         command-line interface
 """
 

@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _pool
 
@@ -48,21 +47,6 @@ def pair_similarity(L: np.ndarray) -> np.ndarray:
     # shared-label counts are exact in float64, and a float GEMM runs in BLAS
     # where an integer product has no fast path
     return (L @ L.T > 0).astype(np.uint8)
-
-
-def avg_hausdorff(set_a: np.ndarray, set_b: np.ndarray) -> float:
-    """Average Hausdorff distance between two point sets (Euclidean).
-
-    Sum of nearest-neighbor distances in both directions, divided by the
-    total number of points |A| + |B|.
-    """
-    A = np.atleast_2d(np.asarray(set_a, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(set_b, dtype=np.float64))
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        raise ValueError("point sets must be non-empty")
-    d = cdist(A, B)
-    return float((d.min(axis=1).sum() + d.min(axis=0).sum())
-                 / (A.shape[0] + B.shape[0]))
 
 
 def label_affinity(features: np.ndarray, L: np.ndarray) -> LabelAffinity:
@@ -155,19 +139,3 @@ def j1_loss_and_grad(prototypes: np.ndarray, aff_x: LabelAffinity,
         raise ValueError("prototype columns must match label count")
     CL = C @ lap
     return float(np.sum(CL * C)), 2.0 * CL
-
-
-def j1_pairwise(prototypes: np.ndarray, aff_x: LabelAffinity,
-                aff_y: LabelAffinity) -> float:
-    """Pairwise-sum form 1/2 sum_ab ||C_a - C_b||^2 (Rx_ab + Ry_ab).
-
-    Independent of the trace form above; the two must agree to rounding.
-    """
-    C = np.asarray(prototypes, dtype=np.float64)
-    R = aff_x.R + aff_y.R
-    c = C.shape[1]
-    total = 0.0
-    for a in range(c):
-        for b in range(c):
-            total += 0.5 * float(np.sum((C[:, a] - C[:, b]) ** 2)) * R[a, b]
-    return total

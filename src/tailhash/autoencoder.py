@@ -1,8 +1,9 @@
 """Individuality-commonality autoencoder and its phase-1 trainer.
 
 Per-modality individuality encoders, a joint commonality encoder over the
-concatenated direct features, and per-modality decoders that reconstruct a
-modality from [commonality, individuality]. The training objective is
+concatenated raw features of both modalities, and per-modality decoders
+that reconstruct a modality from [commonality, individuality]. The
+training objective is
 
     Loss1 = alpha * J1 + beta * J2 + J3
 
@@ -30,13 +31,11 @@ from .datagen import Dataset
 
 @dataclass
 class IcaeParams:
-    feat_x: nn.Mlp         # raw_dim_x -> d_x, frozen direct-feature map
-    feat_y: nn.Mlp         # raw_dim_y -> d_y, frozen direct-feature map
-    enc_ind_x: nn.Mlp      # d_x -> k
-    enc_ind_y: nn.Mlp      # d_y -> k
-    enc_common: nn.Mlp     # d_x + d_y -> k
-    dec_x: nn.Mlp          # 2k -> d_x
-    dec_y: nn.Mlp          # 2k -> d_y
+    enc_ind_x: nn.Mlp      # raw_dim_x -> k
+    enc_ind_y: nn.Mlp      # raw_dim_y -> k
+    enc_common: nn.Mlp     # raw_dim_x + raw_dim_y -> k
+    dec_x: nn.Mlp          # 2k -> raw_dim_x
+    dec_y: nn.Mlp          # 2k -> raw_dim_y
     alpha: float = 0.05
     beta: float = 0.05
     # per-dimension RMS of each code stream over the base split, measured
@@ -53,17 +52,10 @@ class IcaeParams:
     def k(self) -> int:
         return self.enc_ind_x.out_dim
 
-    def trainable_nets(self) -> dict[str, nn.Mlp]:
+    def nets(self) -> dict[str, nn.Mlp]:
         return {"enc_ind_x": self.enc_ind_x, "enc_ind_y": self.enc_ind_y,
                 "enc_common": self.enc_common, "dec_x": self.dec_x,
                 "dec_y": self.dec_y}
-
-    def nets(self) -> dict[str, nn.Mlp]:
-        # feat_x / feat_y are part of the persisted state but never trained:
-        # the codes must stay a fixed function of the raw inputs once the
-        # autoencoder is frozen
-        return dict(self.trainable_nets(), feat_x=self.feat_x,
-                    feat_y=self.feat_y)
 
 
 @dataclass
@@ -76,50 +68,16 @@ class Codes:
 def init_icae(raw_dim_x: int, raw_dim_y: int, k: int,
               rng: np.random.Generator, alpha: float = 0.05,
               beta: float = 0.05) -> IcaeParams:
-    """Initialize the autoencoder over k-dim direct features of each modality.
-
-    The direct-feature maps feat_x / feat_y are identity layers fixed at
-    initialization and never trained, so the codes remain a stable function
-    of the raw inputs while the hash-side projectors train in phase 2.
-    """
+    """Initialize the autoencoder over the raw features of each modality."""
     hidden = max(2 * k, 64)
     d_x, d_y = raw_dim_x, raw_dim_y
-
-    def identity_map(dim):
-        return nn.Mlp([nn.DenseLayer(np.eye(dim), np.zeros(dim), "identity")])
-
     return IcaeParams(
-        feat_x=identity_map(raw_dim_x),
-        feat_y=identity_map(raw_dim_y),
         enc_ind_x=nn.init_mlp([d_x, hidden, k], rng),
         enc_ind_y=nn.init_mlp([d_y, hidden, k], rng),
         enc_common=nn.init_mlp([d_x + d_y, hidden, k], rng),
         dec_x=nn.init_mlp([2 * k, hidden, d_x], rng),
         dec_y=nn.init_mlp([2 * k, hidden, d_y], rng),
         alpha=alpha, beta=beta)
-
-
-def direct_features(params: IcaeParams, modality: str,
-                    raw: np.ndarray) -> np.ndarray:
-    """Frozen direct-feature map of one modality, (n, raw_dim) -> (n, d_v)."""
-    if modality not in ("x", "y"):
-        raise ValueError("modality must be 'x' or 'y'")
-    net = params.feat_x if modality == "x" else params.feat_y
-    out, _ = nn.forward(net, np.asarray(raw, dtype=np.float64).T)
-    return out.T
-
-
-def encode_raw(params: IcaeParams, Xraw: np.ndarray, Yraw: np.ndarray,
-               drop: Optional[str] = None) -> Codes:
-    """Codes of a batch straight from raw inputs, via the frozen feature maps.
-
-    With drop='x' or 'y' that modality's feature block of the commonality
-    input is zeroed and its raw features are ignored entirely, so the other
-    modality can be encoded alone (pass zeros for the dropped side).
-    """
-    Fx = direct_features(params, "x", Xraw)
-    Fy = direct_features(params, "y", Yraw)
-    return encode(params, Fx, Fy, drop=drop)
 
 
 def _common_input(Fx: np.ndarray, Fy: np.ndarray,
@@ -136,28 +94,25 @@ def _common_input(Fx: np.ndarray, Fy: np.ndarray,
     return np.vstack([Fx_t, Fy_t])
 
 
-def encode(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray,
-           drop: Optional[str] = None) -> Codes:
+def encode(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray) -> Codes:
     """Individuality and commonality codes of a batch, (n, k) each.
 
     Once calibration scales exist (after phase 1) each code dimension is
     standardized: the individuality codes are centred on their base-split
     mean and divided by the RMS about it, the commonality code is divided
-    by its base-split RMS, with separate scales for the full, x-only and
-    y-only input variants.
+    by its base-split RMS.
     """
     if np.shape(Fx)[0] != np.shape(Fy)[0]:
         raise ValueError("modalities must have the same sample count")
     Px, _ = nn.forward(params.enc_ind_x, np.asarray(Fx, dtype=np.float64).T)
     Py, _ = nn.forward(params.enc_ind_y, np.asarray(Fy, dtype=np.float64).T)
-    Cs, _ = nn.forward(params.enc_common, _common_input(Fx, Fy, drop))
+    Cs, _ = nn.forward(params.enc_common, _common_input(Fx, Fy, None))
     codes = Codes(Px.T, Py.T, Cs.T)
     if params.code_scales is not None:
         s = params.code_scales
-        c_key = {"x": "cy", "y": "cx", None: "c"}[drop]
         codes = Codes((codes.Px - s["px_mean"]) / s["px"],
                       (codes.Py - s["py_mean"]) / s["py"],
-                      codes.Cstar / s[c_key])
+                      codes.Cstar / s["c"])
     return codes
 
 
@@ -177,13 +132,11 @@ def calibrate_code_scales(params: IcaeParams, Xb: np.ndarray,
     """
     params.code_scales = None
     rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)), SCALE_FLOOR)
-    Fx = direct_features(params, "x", Xb)
-    Fy = direct_features(params, "y", Yb)
-    both = encode(params, Fx, Fy)
+    both = encode(params, Xb, Yb)
 
     def common_rms(drop):
         # a single-modality pass only needs the commonality code
-        Cs, _ = nn.forward(params.enc_common, _common_input(Fx, Fy, drop))
+        Cs, _ = nn.forward(params.enc_common, _common_input(Xb, Yb, drop))
         return rms(Cs.T)
 
     px_mean, py_mean = both.Px.mean(axis=0), both.Py.mean(axis=0)
@@ -267,24 +220,24 @@ def hash_codes(params: IcaeParams, modality: str, raw: np.ndarray
     """Codes one modality contributes to its meta features, (n, k) each.
 
     Returns the commonality code with the other modality zero-imputed and
-    the individuality memory feature. Training and query encoding both call
-    this, so a sample gets the same codes in either role.
+    the individuality memory feature. Only the commonality encoder and this
+    modality's individuality encoder run. Training and query encoding both
+    call this, so a sample gets the same codes in either role.
     """
     if modality not in ("x", "y"):
         raise ValueError("modality must be 'x' or 'y'")
     if params.memory is None:
         raise ValueError("build the label memory before hashing")
-    raw = np.asarray(raw, dtype=np.float64)
-    n = raw.shape[0]
-    if modality == "x":
-        codes = encode_raw(params, raw,
-                           np.zeros((n, params.enc_ind_y.in_dim)), drop="y")
-        P = codes.Px
-    else:
-        codes = encode_raw(params, np.zeros((n, params.enc_ind_x.in_dim)),
-                           raw, drop="x")
-        P = codes.Py
-    return codes.Cstar, recall(params.memory[modality], P)
+    own, other = ((params.enc_ind_x, params.enc_ind_y) if modality == "x"
+                  else (params.enc_ind_y, params.enc_ind_x))
+    raw_t = np.asarray(raw, dtype=np.float64).T
+    P, _ = nn.forward(own, raw_t)
+    zeros = np.zeros((other.in_dim, raw_t.shape[1]))
+    Cs, _ = nn.forward(params.enc_common, np.vstack(
+        [raw_t, zeros] if modality == "x" else [zeros, raw_t]))
+    s = params.code_scales
+    P = (P.T - s[f"p{modality}_mean"]) / s[f"p{modality}"]
+    return Cs.T / s[f"c{modality}"], recall(params.memory[modality], P)
 
 
 def reconstruction_loss(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray,
@@ -382,11 +335,11 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: AeTrainConfig
              ) -> tuple[IcaeParams, list[float]]:
     """Phase-1 minibatch SGD over the base split; returns per-epoch mean Loss1.
 
-    The autoencoder consumes direct features produced by its own frozen
-    feature maps; with probability 1/2 per batch one modality's block of the
-    commonality-encoder input is zeroed so that single-modality query
-    encoding stays well defined. After the last epoch the code scales are
-    calibrated and the label memories built over the base split.
+    The autoencoder reads the raw features of both modalities; with
+    probability 1/2 per batch one modality's block of the commonality-encoder
+    input is zeroed so that single-modality query encoding stays well
+    defined. After the last epoch the code scales are calibrated and the
+    label memories built over the base split.
     """
     Xb, Yb, Lb = dataset.base()
     if Xb.shape[0] == 0:
@@ -394,12 +347,12 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: AeTrainConfig
     n = Xb.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
-    Fx = direct_features(params, "x", Xb)
-    Fy = direct_features(params, "y", Yb)
-    # the feature maps are frozen, so the per-epoch affinity refresh
-    # reproduces the same H/R; compute them once up front
-    aff_x = affinity.label_affinity(Fx, Lb)
-    aff_y = affinity.label_affinity(Fy, Lb)
+    # the label affinity depends only on the raw features; compute it once.
+    # Its row norms round differently by memory layout, and phase 1 feeds
+    # it column-major features, on which the acceptance criteria were
+    # measured
+    aff_x = affinity.label_affinity(np.asfortranarray(Xb), Lb)
+    aff_y = affinity.label_affinity(np.asfortranarray(Yb), Lb)
 
     trace: list[float] = []
     t = int(np.ceil(n / cfg.batch_size))
@@ -411,9 +364,9 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: AeTrainConfig
             if cfg.modality_dropout:
                 r = rng.random()
                 drop = "x" if r < 0.25 else ("y" if r < 0.5 else None)
-            value, _, grads = loss1(params, Fx[idx], Fy[idx], Lb[idx],
+            value, _, grads = loss1(params, Xb[idx], Yb[idx], Lb[idx],
                                     aff_x, aff_y, drop=drop)
-            for name, net in params.trainable_nets().items():
+            for name, net in params.nets().items():
                 nn.sgd_step(net, grads[name], cfg.lr)
             epoch_losses.append(value)
         trace.append(float(np.mean(epoch_losses)))

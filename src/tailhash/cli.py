@@ -112,17 +112,27 @@ def _load_dataset(path) -> datagen.Dataset:
         raise CliError(str(e))
 
 
+def _dataset_fingerprint(dataset: datagen.Dataset) -> dict[str, int]:
+    """CRC-32 of each feature array, as the dataset container records it."""
+    return {"features_x_crc32": store.array_crc32(dataset.Fx_raw),
+            "features_y_crc32": store.array_crc32(dataset.Fy_raw)}
+
+
 def _check_resumable(path: Path, ckpt: store.Checkpoint,
                      cfg: experiment.RunConfig,
                      dataset: datagen.Dataset) -> None:
-    """Reject a phase-1 checkpoint whose shapes or loss weights do not fit
-    this run."""
-    for name, have, want in (
-            ("k", ckpt.icae.k, cfg.k),
-            ("alpha", ckpt.icae.alpha, cfg.alpha),
-            ("beta", ckpt.icae.beta, cfg.beta),
-            ("raw_dim_x", ckpt.icae.feat_x.in_dim, dataset.Fx_raw.shape[1]),
-            ("raw_dim_y", ckpt.icae.feat_y.in_dim, dataset.Fy_raw.shape[1])):
+    """Reject a phase-1 checkpoint whose shapes, loss weights or training
+    data do not fit this run."""
+    checks = [("k", ckpt.icae.k, cfg.k),
+              ("alpha", ckpt.icae.alpha, cfg.alpha),
+              ("beta", ckpt.icae.beta, cfg.beta),
+              ("raw_dim_x", ckpt.icae.enc_ind_x.in_dim,
+               dataset.Fx_raw.shape[1]),
+              ("raw_dim_y", ckpt.icae.enc_ind_y.in_dim,
+               dataset.Fy_raw.shape[1])]
+    checks += [(name, ckpt.hyper[name], want)
+               for name, want in _dataset_fingerprint(dataset).items()]
+    for name, have, want in checks:
         if have != want:
             raise CliError(f"cannot resume from {path}: checkpoint has "
                            f"{name} = {have}, this run needs {want}")
@@ -139,15 +149,19 @@ def cmd_train(args) -> int:
     ae_path = out / "checkpoint_ae"
     resumed = False
     if args.resume and (ae_path / "manifest.json").exists():
-        ckpt = store.load_checkpoint(ae_path, expect_phase="ae")
-        _check_resumable(ae_path, ckpt, cfg, dataset)
+        try:
+            ckpt = store.load_checkpoint(ae_path, expect_phase="ae")
+            _check_resumable(ae_path, ckpt, cfg, dataset)
+        except store.StoreError as e:
+            raise CliError(str(e))
         icae, side, trace1 = ckpt.icae, ckpt.side, ckpt.loss_trace
         resumed = True
     else:
         icae, side, trace1 = experiment.train_phase1(dataset, cfg)
         store.save_checkpoint(ae_path, "ae", icae, side,
                               hyper={"lr_ae": cfg.lr_ae,
-                                     "batch_size": cfg.batch_size},
+                                     "batch_size": cfg.batch_size,
+                                     **_dataset_fingerprint(dataset)},
                               epoch=cfg.max_epochs, seed=cfg.seed,
                               loss_trace=trace1)
     side, B, trace2 = experiment.train_phase2(dataset, cfg, icae, side,

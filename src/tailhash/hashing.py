@@ -80,27 +80,20 @@ def loss2(Mx: np.ndarray, My: np.ndarray, S: np.ndarray, B: np.ndarray,
     return total, {"nll": nll, "quantization": quant, "balance": bal}
 
 
-def grad_meta_x(Mx, My, S, B, hyper: HashHyper) -> np.ndarray:
-    """d Loss2 / d Mx, column i:
-    1/2 sum_j (sigma(phi_ij) - S_ij) My_j + 2 gamma (Mx_i - B_i) + 2 eta Mx 1.
+def grad_meta(M, M_other, S, B, hyper: HashHyper) -> np.ndarray:
+    """d Loss2 / d M for the modality whose meta features are M, column i:
+    1/2 sum_j (sigma(phi_ij) - S_ij) M_other_j + 2 gamma (M_i - B_i)
+    + 2 eta M 1, with phi = phi(M, M_other).
+
+    S is indexed (this modality's sample, other modality's sample): the
+    first modality passes S, the second S.T.
     """
-    Mx = np.asarray(Mx, dtype=np.float64)
-    My = np.asarray(My, dtype=np.float64)
-    A = nn.sigmoid(phi(Mx, My)) - np.asarray(S, dtype=np.float64)
-    g = 0.5 * My @ A.T
-    g += 2.0 * hyper.gamma * (Mx - np.asarray(B, dtype=np.float64))
-    g += 2.0 * hyper.eta * Mx.sum(axis=1)[:, None]
-    return g
-
-
-def grad_meta_y(Mx, My, S, B, hyper: HashHyper) -> np.ndarray:
-    """Symmetric counterpart of grad_meta_x for the second modality."""
-    Mx = np.asarray(Mx, dtype=np.float64)
-    My = np.asarray(My, dtype=np.float64)
-    A = nn.sigmoid(phi(Mx, My)) - np.asarray(S, dtype=np.float64)
-    g = 0.5 * Mx @ A
-    g += 2.0 * hyper.gamma * (My - np.asarray(B, dtype=np.float64))
-    g += 2.0 * hyper.eta * My.sum(axis=1)[:, None]
+    M = np.asarray(M, dtype=np.float64)
+    M_other = np.asarray(M_other, dtype=np.float64)
+    A = nn.sigmoid(phi(M, M_other)) - np.asarray(S, dtype=np.float64)
+    g = 0.5 * M_other @ A.T
+    g += 2.0 * hyper.gamma * (M - np.asarray(B, dtype=np.float64))
+    g += 2.0 * hyper.eta * M.sum(axis=1)[:, None]
     return g
 
 
@@ -179,8 +172,8 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
     rng = np.random.default_rng(seed)
     t = int(np.ceil(n / hyper.batch_size))
 
-    # the autoencoder and its feature maps are frozen, so every sample's
-    # codes are constant through phase 2; compute them once
+    # the autoencoder is frozen, so every sample's codes are constant
+    # through phase 2; compute them once
     base_codes = base_code_sets(icae, Xb, Yb)
 
     def batch_codes(idx):
@@ -205,14 +198,14 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
             # backprop sums over the batch again; normalize by nb^2 so the
             # parameter step size is batch-size independent
             nb = idx.size
-            gx = grad_meta_x(fwd_x.M, fwd_y.M, S, B_batch, hyper) / nb ** 2
+            gx = grad_meta(fwd_x.M, fwd_y.M, S, B_batch, hyper) / nb ** 2
             _step_side(side.x, fwd_x, gx, hyper.lr)
 
             # image side moved: re-run its forward before the text-side step;
             # the text side has not moved, so its forward is still current
             fwd_x2 = meta.meta_forward(side.x, Xb[idx], *codes[0],
                                        *variant.flags("x"))
-            gy = grad_meta_y(fwd_x2.M, fwd_y.M, S, B_batch, hyper) / nb ** 2
+            gy = grad_meta(fwd_y.M, fwd_x2.M, S.T, B_batch, hyper) / nb ** 2
             _step_side(side.y, fwd_y, gy, hyper.lr)
 
         _, _, B = full_base_codes(dataset, icae, side, variant,

@@ -72,18 +72,6 @@ def init_side_params(raw_dim_x: int, raw_dim_y: int, k: int,
     return HashSideParams(one(raw_dim_x), one(raw_dim_y))
 
 
-def direct_features(projector: nn.Mlp, raw: np.ndarray) -> np.ndarray:
-    """Project raw (n, raw_dim) features to (n, k) direct features."""
-    out, _ = nn.forward(projector, np.asarray(raw, dtype=np.float64).T)
-    return out.T
-
-
-def selectors(side: ModalitySide, F: np.ndarray) -> np.ndarray:
-    """Adaptive selection factor E1 = tanh(FC(F)), entries in (-1, 1)."""
-    e1, _ = nn.forward(side.selector1, np.asarray(F, dtype=np.float64).T)
-    return e1.T
-
-
 def meta_features(F: np.ndarray, Cstar: np.ndarray, Iv: np.ndarray,
                   E1: np.ndarray, use_common: bool = True,
                   use_individual: bool = True) -> np.ndarray:
@@ -122,7 +110,11 @@ class MetaForward:
 def meta_forward(side: ModalitySide, raw: np.ndarray, Cstar: np.ndarray,
                  Iv: np.ndarray, use_common: bool = True,
                  use_individual: bool = True) -> MetaForward:
-    """Forward pass through projector, selector and fusion, keeping tapes."""
+    """Forward pass through projector, selector and fusion, keeping tapes.
+
+    The one meta-feature path: phase-2 training and query encoding
+    (retrieval.encode_query) both run it.
+    """
     raw_t = np.asarray(raw, dtype=np.float64).T
     F_cols, proj_tape = nn.forward(side.projector, raw_t)
     e1_cols, sel1_tape = nn.forward(side.selector1, F_cols)

@@ -45,16 +45,14 @@ def encode_query(modality: str, raw: np.ndarray,
 
     The commonality encoder sees the other modality's block zero-imputed,
     matching the modality-dropout regime it was trained under; the
-    individuality enters as its label-memory feature.
+    individuality enters as its label-memory feature. The meta features come
+    from the same forward pass training runs (meta.meta_forward).
     """
     if modality not in ("x", "y"):
         raise ValueError("modality must be 'x' or 'y'")
     side_v = side.x if modality == "x" else side.y
-    F = meta.direct_features(side_v.projector, raw)
-    Cstar, Iv = autoencoder.hash_codes(icae, modality, raw)
-    use_c, use_i = variant.flags(modality)
-    M = meta.meta_features(F, Cstar, Iv, meta.selectors(side_v, F),
-                           use_c, use_i)
+    codes = autoencoder.hash_codes(icae, modality, raw)
+    M = meta.meta_forward(side_v, raw, *codes, *variant.flags(modality)).M
     return np.where(M >= 0.0, 1.0, -1.0)
 
 

@@ -3,10 +3,15 @@
 Each container is a directory holding a ``manifest.json`` plus one raw binary
 file per matrix: little-endian float64 row-major for real arrays, one byte
 per cell (0/1) for label matrices, packed bits for hash codes (-1 stored as
-0). Every array carries a CRC-32 in the manifest. All formats are versioned
-with ``format_version``; version 2 checkpoints hold the centred
-individuality code scales and the per-modality label memories, and a single
-(commonality) selector per modality.
+0). Every array carries a CRC-32 in the manifest. All formats share one
+``format_version``, and a container of any other version is refused.
+
+Version 3 checkpoints hold the five autoencoder nets (no direct-feature
+maps: the encoders read the raw features), the centred individuality code
+scales, the per-modality label memories and a single (commonality) selector
+per modality. A phase-1 checkpoint's ``hyper`` also records the CRC-32 of
+the dataset's ``features_x`` and ``features_y`` arrays, so that
+``train --resume`` can refuse a checkpoint trained on other data.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from . import autoencoder, meta, nn
 from .datagen import Dataset
 from .retrieval import EvalReport
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 CSV_HEADER = ["direction", "variant", "map", "head_map", "tail_map",
               "head_tail_split_index", "n_queries", "n_excluded",
@@ -54,13 +59,20 @@ class PhaseMismatchError(StoreError):
 _DTYPES = {"float64": "<f8", "uint8": "u1"}
 
 
-def _write_array(root: Path, name: str, arr: np.ndarray) -> dict:
+def _array_bytes(arr: np.ndarray) -> tuple[str, bytes]:
+    """(dtype name, bytes) of an array as written to disk."""
     if arr.dtype == np.uint8:
-        dtype = "uint8"
-        data = np.ascontiguousarray(arr).tobytes()
-    else:
-        dtype = "float64"
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        return "uint8", np.ascontiguousarray(arr).tobytes()
+    return "float64", np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def array_crc32(arr: np.ndarray) -> int:
+    """CRC-32 of an array's on-disk bytes, as its manifest entry records it."""
+    return zlib.crc32(_array_bytes(arr)[1])
+
+
+def _write_array(root: Path, name: str, arr: np.ndarray) -> dict:
+    dtype, data = _array_bytes(arr)
     fname = name + ".bin"
     (root / fname).write_bytes(data)
     return {"file": fname, "dtype": dtype, "shape": list(arr.shape),
@@ -325,7 +337,6 @@ def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
     nets = {name: _load_net(root, name, spec, m["arrays"])
             for name, spec in m["nets"].items()}
     icae = autoencoder.IcaeParams(
-        feat_x=nets["icae.feat_x"], feat_y=nets["icae.feat_y"],
         enc_ind_x=nets["icae.enc_ind_x"], enc_ind_y=nets["icae.enc_ind_y"],
         enc_common=nets["icae.enc_common"],
         dec_x=nets["icae.dec_x"], dec_y=nets["icae.dec_y"],

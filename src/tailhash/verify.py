@@ -12,6 +12,7 @@ import itertools
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import affinity, autoencoder, hashing, hsic, nn, retrieval
 
@@ -139,6 +140,23 @@ def check_hsic(seed: int = 0, trials: int = 20, bug: bool = False):
             f"vs dense oracle")
 
 
+def j1_pairwise(prototypes: np.ndarray, aff_x: affinity.LabelAffinity,
+                aff_y: affinity.LabelAffinity) -> float:
+    """Pairwise-sum form 1/2 sum_ab ||C_a - C_b||^2 (Rx_ab + Ry_ab).
+
+    Independent of the trace form of affinity.j1_loss_and_grad; the two
+    must agree to rounding.
+    """
+    C = np.asarray(prototypes, dtype=np.float64)
+    R = aff_x.R + aff_y.R
+    c = C.shape[1]
+    total = 0.0
+    for a in range(c):
+        for b in range(c):
+            total += 0.5 * float(np.sum((C[:, a] - C[:, b]) ** 2)) * R[a, b]
+    return total
+
+
 def check_j1(seed: int = 0, trials: int = 20, bug: bool = False):
     """Trace form vs pairwise-sum form; zero on constant prototypes."""
     rng = np.random.default_rng(seed)
@@ -154,11 +172,26 @@ def check_j1(seed: int = 0, trials: int = 20, bug: bool = False):
         C = rng.standard_normal((k, c))
         val, _ = affinity.j1_loss_and_grad(C, aff, aff)
         val = val + (1e-2 if bug else 0.0)
-        worst = max(worst, abs(val - affinity.j1_pairwise(C, aff, aff)))
+        worst = max(worst, abs(val - j1_pairwise(C, aff, aff)))
         const_val, _ = affinity.j1_loss_and_grad(
             np.tile(rng.standard_normal((k, 1)), (1, c)), aff, aff)
         worst = max(worst, abs(const_val))
     return ("j1_dual_form", worst <= 1e-8, f"worst abs err {worst:.2e}")
+
+
+def avg_hausdorff(set_a: np.ndarray, set_b: np.ndarray) -> float:
+    """Average Hausdorff distance between two point sets (Euclidean).
+
+    Sum of nearest-neighbor distances in both directions, divided by the
+    total number of points |A| + |B|.
+    """
+    A = np.atleast_2d(np.asarray(set_a, dtype=np.float64))
+    B = np.atleast_2d(np.asarray(set_b, dtype=np.float64))
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        raise ValueError("point sets must be non-empty")
+    d = cdist(A, B)
+    return float((d.min(axis=1).sum() + d.min(axis=0).sum())
+                 / (A.shape[0] + B.shape[0]))
 
 
 def check_label_affinity(seed: int = 0, trials: int = 3, bug: bool = False):
@@ -186,7 +219,7 @@ def check_label_affinity(seed: int = 0, trials: int = 3, bug: bool = False):
         H = np.zeros((c, c))
         for a in range(c):
             for b in range(a + 1, c):
-                H[a, b] = H[b, a] = affinity.avg_hausdorff(sets[a], sets[b])
+                H[a, b] = H[b, a] = avg_hausdorff(sets[a], sets[b])
         sigma = H[~np.eye(c, dtype=bool)].mean()
         R = np.exp(-H / sigma ** 2)
         for got, want in ((_maybe_bug(aff.H, bug), H), (aff.R, R),
@@ -207,10 +240,12 @@ def check_loss1_gradients(seed: int = 0, trials: int = 3, bug: bool = False):
     for _ in range(trials):
         n, k, d = 6, 2, 3
         c = 3
+        # two discarded [d, 3, d] nets keep the seeded instances on which
+        # acceptance criterion 1 was measured
+        nn.init_mlp([d, 3, d], rng)
+        nn.init_mlp([d, 3, d], rng)
         # tiny hidden layers keep the finite-difference sweep fast
         icae = autoencoder.IcaeParams(
-            feat_x=nn.init_mlp([d, 3, d], rng),
-            feat_y=nn.init_mlp([d, 3, d], rng),
             enc_ind_x=nn.init_mlp([d, 3, k], rng),
             enc_ind_y=nn.init_mlp([d, 3, k], rng),
             enc_common=nn.init_mlp([2 * d, 3, k], rng),
@@ -224,7 +259,7 @@ def check_loss1_gradients(seed: int = 0, trials: int = 3, bug: bool = False):
         aff_x = affinity.label_affinity(Fx, L)
         aff_y = affinity.label_affinity(Fy, L)
         _, _, grads = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y)
-        for name, net in icae.trainable_nets().items():
+        for name, net in icae.nets().items():
             theta = nn.get_flat(net)
             # bandwidths are pinned at the base point: the analytic gradient
             # deliberately does not differentiate through sigma
@@ -273,8 +308,8 @@ def check_loss2_gradients(seed: int = 0, trials: int = 10, bug: bool = False):
         S = (rng.random((n, n)) < 0.5).astype(float)
         S = np.maximum(S, S.T)
         B = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
-        gx = _maybe_bug(hashing.grad_meta_x(Mx, My, S, B, hyper), bug)
-        gy = hashing.grad_meta_y(Mx, My, S, B, hyper)
+        gx = _maybe_bug(hashing.grad_meta(Mx, My, S, B, hyper), bug)
+        gy = hashing.grad_meta(My, Mx, S.T, B, hyper)
         fx = nn.finite_diff_grad(
             lambda M: hashing.loss2(M, My, S, B, hyper)[0], Mx)
         fy = nn.finite_diff_grad(

@@ -84,7 +84,7 @@ def test_criterion_3_trace_vs_pairwise():
         C = rng.standard_normal((k, c))
         val, _ = affinity.j1_loss_and_grad(C, aff, aff)
         worst_dual = max(worst_dual,
-                         abs(val - affinity.j1_pairwise(C, aff, aff)))
+                         abs(val - verify.j1_pairwise(C, aff, aff)))
         const, _ = affinity.j1_loss_and_grad(
             np.tile(rng.standard_normal((k, 1)), (1, c)), aff, aff)
         worst_const = max(worst_const, abs(const))

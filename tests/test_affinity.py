@@ -37,37 +37,37 @@ def test_pair_similarity_rejects_unlabeled_sample():
         affinity.pair_similarity(np.array([[1, 0], [0, 0]], dtype=np.uint8))
 
 
-# -------------------------------------------------------------- avg_hausdorff
+# ------------------------------------------------------- verify.avg_hausdorff
 
 def test_avg_hausdorff_identical_sets():
     A = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert affinity.avg_hausdorff(A, A) == 0.0
+    assert verify.avg_hausdorff(A, A) == 0.0
 
 
 def test_avg_hausdorff_singletons():
     u = np.array([[0.0, 0.0]])
     v = np.array([[3.0, 4.0]])
-    assert affinity.avg_hausdorff(u, v) == pytest.approx(5.0)
+    assert verify.avg_hausdorff(u, v) == pytest.approx(5.0)
 
 
 def test_avg_hausdorff_three_point_enumeration():
     # A = {0, 2}, B = {1} in 1-D: min-terms 1, 1 and 1, denominator 3
     A = np.array([[0.0], [2.0]])
     B = np.array([[1.0]])
-    assert affinity.avg_hausdorff(A, B) == pytest.approx(1.0)
+    assert verify.avg_hausdorff(A, B) == pytest.approx(1.0)
 
 
 def test_avg_hausdorff_symmetric():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((4, 3))
     B = rng.standard_normal((6, 3))
-    assert affinity.avg_hausdorff(A, B) == pytest.approx(
-        affinity.avg_hausdorff(B, A))
+    assert verify.avg_hausdorff(A, B) == pytest.approx(
+        verify.avg_hausdorff(B, A))
 
 
 def test_avg_hausdorff_rejects_empty():
     with pytest.raises(ValueError):
-        affinity.avg_hausdorff(np.zeros((0, 2)), np.zeros((1, 2)))
+        verify.avg_hausdorff(np.zeros((0, 2)), np.zeros((1, 2)))
 
 
 # ------------------------------------------------------------- label_affinity
@@ -100,7 +100,7 @@ def test_label_affinity_matches_direct_recomputation():
     for a in range(3):
         for b in range(3):
             if a != b:
-                H[a, b] = affinity.avg_hausdorff(sets[a], sets[b])
+                H[a, b] = verify.avg_hausdorff(sets[a], sets[b])
     sigma = H[~np.eye(3, dtype=bool)].mean()
     np.testing.assert_allclose(aff.H, H, atol=1e-12)
     np.testing.assert_allclose(aff.R, np.exp(-H / sigma ** 2), atol=1e-12)
@@ -171,7 +171,7 @@ def test_j1_trace_equals_pairwise_sum():
         aff_y = _random_affinity(rng, c)
         C = rng.standard_normal((4, c))
         val, _ = affinity.j1_loss_and_grad(C, aff_x, aff_y)
-        assert abs(val - affinity.j1_pairwise(C, aff_x, aff_y)) <= 1e-10
+        assert abs(val - verify.j1_pairwise(C, aff_x, aff_y)) <= 1e-10
 
 
 def test_j1_nonnegative():

@@ -10,8 +10,6 @@ from tailhash import affinity, autoencoder, datagen, nn
 
 def _tiny_icae(rng, d=3, k=2, alpha=0.05, beta=0.05):
     return autoencoder.IcaeParams(
-        feat_x=nn.init_mlp([d, 3, d], rng),
-        feat_y=nn.init_mlp([d, 3, d], rng),
         enc_ind_x=nn.init_mlp([d, 3, k], rng),
         enc_ind_y=nn.init_mlp([d, 3, k], rng),
         enc_common=nn.init_mlp([2 * d, 3, k], rng),
@@ -41,8 +39,8 @@ def test_encode_zero_weight_encoders_give_zero_codes():
 def test_encode_shapes():
     rng = np.random.default_rng(1)
     icae = autoencoder.init_icae(10, 8, 16, rng)
-    codes = autoencoder.encode_raw(icae, rng.standard_normal((5, 10)),
-                                   rng.standard_normal((5, 8)))
+    codes = autoencoder.encode(icae, rng.standard_normal((5, 10)),
+                               rng.standard_normal((5, 8)))
     for arr in (codes.Px, codes.Py, codes.Cstar):
         assert arr.shape == (5, 16)
 
@@ -66,16 +64,20 @@ def test_encode_rejects_mismatched_sample_counts():
 
 
 def test_encode_modality_dropout_zeroes_block():
+    # loss1's modality dropout feeds the commonality encoder the dropped
+    # modality's block as zeros
     rng = np.random.default_rng(4)
     icae = _tiny_icae(rng)
     Fx = rng.standard_normal((4, 3))
     Fy = rng.standard_normal((4, 3))
-    dropped = autoencoder.encode(icae, Fx, Fy, drop="y")
-    zeroed = autoencoder.encode(icae, Fx, np.zeros_like(Fy), drop=None)
-    np.testing.assert_allclose(dropped.Cstar, zeroed.Cstar, atol=1e-14)
-    assert np.all(np.isfinite(dropped.Cstar))
+    dropped = autoencoder._common_input(Fx, Fy, "y")
+    np.testing.assert_array_equal(
+        dropped, autoencoder._common_input(Fx, np.zeros_like(Fy), None))
+    np.testing.assert_array_equal(dropped[:3], Fx.T)
+    L = _labels(4, 2)
+    aff = affinity.label_affinity(Fx, L)
     with pytest.raises(ValueError):
-        autoencoder.encode(icae, Fx, Fy, drop="z")
+        autoencoder.loss1(icae, Fx, Fy, L, aff, aff, drop="z")
 
 
 def test_code_scales_standardize_codes():
@@ -84,17 +86,18 @@ def test_code_scales_standardize_codes():
     Xb = rng.standard_normal((40, 3))
     Yb = rng.standard_normal((40, 3))
     autoencoder.calibrate_code_scales(icae, Xb, Yb, _labels(40, 2))
-    codes = autoencoder.encode_raw(icae, Xb, Yb)
+    codes = autoencoder.encode(icae, Xb, Yb)
     for arr in (codes.Px, codes.Py, codes.Cstar):
         np.testing.assert_allclose(np.sqrt(np.mean(arr ** 2, axis=0)), 1.0,
                                    atol=1e-10)
     # the individuality codes are also centred over the base split
     for arr in (codes.Px, codes.Py):
         np.testing.assert_allclose(arr.mean(axis=0), 0.0, atol=1e-12)
-    # the single-modality commonality stream has its own calibration
-    only_x = autoencoder.encode_raw(icae, Xb, np.zeros_like(Yb), drop="y")
-    np.testing.assert_allclose(
-        np.sqrt(np.mean(only_x.Cstar ** 2, axis=0)), 1.0, atol=1e-10)
+    # each single-modality commonality stream has its own calibration
+    for modality, raw in (("x", Xb), ("y", Yb)):
+        C, _ = autoencoder.hash_codes(icae, modality, raw)
+        np.testing.assert_allclose(np.sqrt(np.mean(C ** 2, axis=0)), 1.0,
+                                   atol=1e-10)
 
 
 def test_code_scales_match_full_single_modality_encodings():
@@ -111,9 +114,9 @@ def test_code_scales_match_full_single_modality_encodings():
     icae.code_scales = None
     rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)),
                                autoencoder.SCALE_FLOOR)
-    both = autoencoder.encode_raw(icae, Xb, Yb)
-    only_x = autoencoder.encode_raw(icae, Xb, np.zeros_like(Yb), drop="y")
-    only_y = autoencoder.encode_raw(icae, np.zeros_like(Xb), Yb, drop="x")
+    both = autoencoder.encode(icae, Xb, Yb)
+    only_x = autoencoder.encode(icae, Xb, np.zeros_like(Yb))
+    only_y = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
     px_mean, py_mean = both.Px.mean(axis=0), both.Py.mean(axis=0)
     px, py = rms(both.Px - px_mean), rms(both.Py - py_mean)
     want = {"px_mean": px_mean, "py_mean": py_mean, "px": px, "py": py,
@@ -158,7 +161,7 @@ def test_build_memory_weights_and_scale():
     # a label is claimed by at most one modality's memory
     assert np.all(np.minimum(mx.weights, my.weights) == 0.0)
     # the recall has unit RMS over the base split
-    codes = autoencoder.encode_raw(icae, Xb, Yb)
+    codes = autoencoder.encode(icae, Xb, Yb)
     for mem, P in ((mx, codes.Px), (my, codes.Py)):
         rms = np.sqrt(np.mean(autoencoder.recall(mem, P) ** 2))
         np.testing.assert_allclose(rms, 1.0, atol=1e-12)
@@ -172,23 +175,27 @@ def test_hash_codes_match_single_modality_encoding():
     with pytest.raises(ValueError):
         autoencoder.hash_codes(icae, "x", Xb)
     autoencoder.calibrate_code_scales(icae, Xb, Yb, _labels(30, 3))
+    s = icae.code_scales
+    # the unscaled codes of a full encoding with the x block zeroed,
+    # standardized with the y-only commonality scale
+    icae.code_scales = None
+    only_y = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
+    icae.code_scales = s
     C, I = autoencoder.hash_codes(icae, "y", Yb)
-    only_y = autoencoder.encode_raw(icae, np.zeros_like(Xb), Yb, drop="x")
-    np.testing.assert_array_equal(C, only_y.Cstar)
+    np.testing.assert_array_equal(C, only_y.Cstar / s["cy"])
     np.testing.assert_array_equal(
-        I, autoencoder.recall(icae.memory["y"], only_y.Py))
+        I, autoencoder.recall(icae.memory["y"],
+                              (only_y.Py - s["py_mean"]) / s["py"]))
     with pytest.raises(ValueError):
         autoencoder.hash_codes(icae, "z", Xb)
 
 
 def test_reconstruction_loss_zero_when_decoder_exact():
-    # decoders that reproduce F^v exactly give J3 = 0: use identity feature
-    # flow with k = d and a decoder reading the individuality block
+    # decoders that reproduce F^v exactly give J3 = 0: use identity
+    # individuality encoders with k = d and a decoder reading that block
     rng = np.random.default_rng(6)
     d = k = 2
     icae = autoencoder.IcaeParams(
-        feat_x=nn.Mlp([nn.DenseLayer(np.eye(d), np.zeros(d))]),
-        feat_y=nn.Mlp([nn.DenseLayer(np.eye(d), np.zeros(d))]),
         enc_ind_x=nn.Mlp([nn.DenseLayer(np.eye(d), np.zeros(d))]),
         enc_ind_y=nn.Mlp([nn.DenseLayer(np.eye(d), np.zeros(d))]),
         enc_common=nn.Mlp([nn.DenseLayer(np.zeros((k, 2 * d)), np.zeros(k))]),
@@ -335,16 +342,6 @@ def test_train_ae_noiseless_reconstruction_halves():
         ds, icae, autoencoder.AeTrainConfig(batch_size=8, max_epochs=50,
                                             seed=0, modality_dropout=False))
     assert trace[-1] < 0.5 * trace[0]
-
-
-def test_train_ae_frozen_feature_maps():
-    rng = np.random.default_rng(14)
-    ds = _tiny_dataset()
-    icae = autoencoder.init_icae(6, 5, 4, rng)
-    fx_before = nn.get_flat(icae.feat_x).copy()
-    autoencoder.train_ae(
-        ds, icae, autoencoder.AeTrainConfig(batch_size=8, max_epochs=3))
-    np.testing.assert_array_equal(nn.get_flat(icae.feat_x), fx_before)
 
 
 def test_train_ae_deterministic():

@@ -114,8 +114,10 @@ def test_train_resume_skips_phase_one(tmp_path):
     (("--k", "8"), (), "k = 4, this run needs 8"),
     ((), ("--raw-dim-x", "12"), "raw_dim_x = 10, this run needs 12"),
     (("--alpha", "0.9"), (), "alpha = 0.05, this run needs 0.9"),
-    (("--beta", "0.5"), (), "beta = 0.05, this run needs 0.5")],
-    ids=["k", "raw_dim_x", "alpha", "beta"])
+    (("--beta", "0.5"), (), "beta = 0.05, this run needs 0.5"),
+    # same dimensions, other features
+    ((), ("--seed", "1"), "features_x_crc32 = ")],
+    ids=["k", "raw_dim_x", "alpha", "beta", "dataset"])
 def test_train_resume_rejects_incompatible_checkpoint(tmp_path, capsys, flags,
                                                       gen_extra, mismatch):
     run = _train(tmp_path, _gen(tmp_path))
@@ -276,8 +278,8 @@ def test_train_dataset_manifest_missing_key_is_one_line_error(tmp_path,
     _one_line_error(capsys, "error:", "base_indices")
 
 
-def test_resume_checkpoint_manifest_missing_key_is_runtime_error(tmp_path,
-                                                                capsys):
+def test_resume_checkpoint_manifest_missing_key_is_one_line_error(tmp_path,
+                                                                  capsys):
     data = _gen(tmp_path)
     run = _train(tmp_path, data)
     _drop_manifest_key(run / "checkpoint_ae", "nets")
@@ -285,8 +287,33 @@ def test_resume_checkpoint_manifest_missing_key_is_runtime_error(tmp_path,
     code = run_cli(["train", "--dataset", str(data / "dataset"),
                     "--out", str(run), "--k", "4", "--max-epochs", "2",
                     "--seed", "0", "--resume"])
-    assert code == 2
-    _one_line_error(capsys, "runtime error:", "nets")
+    # an unreadable phase-1 checkpoint is rejected input, as in encode
+    assert code == 1
+    _one_line_error(capsys, "error:", "nets")
+
+
+@pytest.mark.parametrize("command", ["encode", "train"])
+def test_version_2_checkpoint_is_one_line_error(tmp_path, capsys, command):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    if command == "encode":
+        ckpt = run / "checkpoint_hash"
+        argv = ["encode", "--checkpoint", str(ckpt), "--modality", "x",
+                "--out", str(tmp_path / "e")]
+    else:
+        ckpt = run / "checkpoint_ae"
+        argv = ["train", "--out", str(run), "--k", "4", "--max-epochs", "2",
+                "--seed", "0", "--resume"]
+    path = ckpt / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["format_version"] = 2
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run_cli([*argv, "--dataset", str(data / "dataset")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "format_version 2" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_eval_codes_manifest_missing_key_is_one_line_error(tmp_path, capsys):

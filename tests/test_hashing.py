@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from tailhash import autoencoder, datagen, experiment, hashing, meta, nn
+from tailhash import autoencoder, datagen, experiment, hashing, nn
 from tailhash.verify import check_sign_update
 
 
@@ -93,7 +93,7 @@ def test_grad_zero_at_stationary_point():
     My = np.array([[1.0, -1.0], [-1.0, 1.0]])
     S = nn.sigmoid(hashing.phi(Mx, My))
     hyper = hashing.HashHyper(gamma=1.0, eta=1.0)
-    g = hashing.grad_meta_x(Mx, My, S, Mx, hyper)
+    g = hashing.grad_meta(Mx, My, S, Mx, hyper)
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -106,8 +106,8 @@ def test_grad_matches_finite_differences():
         My = rng.standard_normal((k, n))
         S = (rng.random((n, n)) < 0.5).astype(float)
         B = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
-        gx = hashing.grad_meta_x(Mx, My, S, B, hyper)
-        gy = hashing.grad_meta_y(Mx, My, S, B, hyper)
+        gx = hashing.grad_meta(Mx, My, S, B, hyper)
+        gy = hashing.grad_meta(My, Mx, S.T, B, hyper)
         fx = nn.finite_diff_grad(
             lambda M: hashing.loss2(M, My, S, B, hyper)[0], Mx)
         fy = nn.finite_diff_grad(
@@ -119,17 +119,23 @@ def test_grad_matches_finite_differences():
 
 
 def test_grad_role_exchange_symmetry():
+    # the second modality's gradient is grad_meta with the roles exchanged;
+    # column i of d Loss2 / d My is
+    # 1/2 sum_j (sigma(phi_ji) - S_ji) Mx_j + 2 gamma (My_i - B_i) + 2 eta My 1
     rng = np.random.default_rng(4)
     Mx = rng.standard_normal((3, 4))
     My = rng.standard_normal((3, 4))
-    S = np.maximum((rng.random((4, 4)) < 0.5).astype(float),
-                   (rng.random((4, 4)) < 0.5).astype(float).T)
-    S = np.maximum(S, S.T)
+    S = (rng.random((4, 4)) < 0.5).astype(float)    # not symmetric
     B = np.where(rng.random((3, 4)) < 0.5, 1.0, -1.0)
     hyper = hashing.HashHyper(gamma=0.7, eta=0.3)
-    gy = hashing.grad_meta_y(Mx, My, S, B, hyper)
-    gx_swapped = hashing.grad_meta_x(My, Mx, S.T, B, hyper)
-    np.testing.assert_allclose(gy, gx_swapped, atol=1e-12)
+    gy = hashing.grad_meta(My, Mx, S.T, B, hyper)
+    sig = nn.sigmoid(hashing.phi(Mx, My))
+    want = np.zeros_like(My)
+    for i in range(4):
+        for j in range(4):
+            want[:, i] += 0.5 * (sig[j, i] - S[j, i]) * Mx[:, j]
+        want[:, i] += 2 * 0.7 * (My[:, i] - B[:, i]) + 2 * 0.3 * My.sum(axis=1)
+    np.testing.assert_allclose(gy, want, atol=1e-12)
 
 
 def test_update_B_all_positive():
@@ -245,10 +251,10 @@ def test_wo_ic_variant_equals_selectors_forced_zero():
     Xb, Yb, _ = ds.base()
     Mx, My, B = hashing.full_base_codes(ds, icae, side,
                                         hashing.VARIANTS["wo_ic"])
-    Fx = meta.direct_features(side.x.projector, Xb)
-    Fy = meta.direct_features(side.y.projector, Yb)
-    np.testing.assert_array_equal(Mx, Fx.T)
-    np.testing.assert_array_equal(My, Fy.T)
+    Fx, _ = nn.forward(side.x.projector, Xb.T)
+    Fy, _ = nn.forward(side.y.projector, Yb.T)
+    np.testing.assert_array_equal(Mx, Fx)
+    np.testing.assert_array_equal(My, Fy)
 
 
 def test_memory_does_not_hurt_without_exclusive_labels():

@@ -11,23 +11,34 @@ def _side(rng, raw_dim=6, k=3):
     return params.x
 
 
+def _forward(side, raw, rng):
+    """meta_forward with random commonality and memory inputs."""
+    shape = (raw.shape[0], side.projector.out_dim)
+    return meta.meta_forward(side, raw, rng.standard_normal(shape),
+                             rng.standard_normal(shape))
+
+
 def test_direct_features_zero_projector():
     rng = np.random.default_rng(0)
     side = _side(rng)
     for layer in side.projector.layers:
         layer.weight[:] = 0.0
         layer.bias[:] = 0.0
-    F = meta.direct_features(side.projector, rng.standard_normal((4, 6)))
-    assert not F.any()
-    assert F.shape == (4, 3)
+    fwd = _forward(side, rng.standard_normal((4, 6)), rng)
+    assert not fwd.F.any()
+    assert fwd.F.shape == (4, 3)
 
 
 def test_direct_features_replay_determinism():
     rng = np.random.default_rng(1)
     side = _side(rng)
     raw = rng.standard_normal((5, 6))
-    np.testing.assert_array_equal(meta.direct_features(side.projector, raw),
-                                  meta.direct_features(side.projector, raw))
+    C = rng.standard_normal((5, 3))
+    I = rng.standard_normal((5, 3))
+    a = meta.meta_forward(side, raw, C, I)
+    b = meta.meta_forward(side, raw, C, I)
+    for name in ("F", "E1", "M"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_selectors_uniform_small_opening_at_init():
@@ -36,8 +47,8 @@ def test_selectors_uniform_small_opening_at_init():
     rng = np.random.default_rng(2)
     side = _side(rng)
     expected = np.tanh(meta.SELECTOR_BIAS_INIT)
-    for F in (rng.standard_normal((4, 3)), np.zeros((2, 3))):
-        np.testing.assert_allclose(meta.selectors(side, F), expected,
+    for raw in (rng.standard_normal((4, 6)), np.zeros((2, 6))):
+        np.testing.assert_allclose(_forward(side, raw, rng).E1, expected,
                                    atol=1e-14)
     assert 0.0 < expected < 0.2
 
@@ -47,10 +58,13 @@ def test_selectors_bounded():
     side = _side(rng)
     for layer in side.selector1.layers:
         layer.weight[:] = rng.standard_normal(layer.weight.shape) * 10
-    E1 = meta.selectors(side, rng.standard_normal((50, 3)) * 5)
+    E1 = _forward(side, rng.standard_normal((50, 6)) * 5, rng).E1
     # tanh output: strictly inside (-1, 1) up to float rounding
     assert np.abs(E1).max() <= 1.0
-    E1m = meta.selectors(side, rng.standard_normal((50, 3)) * 0.01)
+    for layer in side.projector.layers:
+        layer.weight[:] *= 0.01
+        layer.bias[:] = 0.0
+    E1m = _forward(side, rng.standard_normal((50, 6)) * 0.01, rng).E1
     assert np.abs(E1m).max() < 1.0
 
 
@@ -59,18 +73,20 @@ def test_selector_gradient_matches_finite_differences():
     side = _side(rng)
     for layer in side.selector1.layers:
         layer.weight[:] = rng.standard_normal(layer.weight.shape)
-    F = rng.standard_normal((4, 3))
+    raw = rng.standard_normal((4, 6))
+    C = rng.standard_normal((4, 3))
+    I = rng.standard_normal((4, 3))
     net = side.selector1
     theta = nn.get_flat(net)
 
     def loss_at(vec):
         nn.set_flat(net, vec)
-        E1 = meta.selectors(side, F)
+        E1 = meta.meta_forward(side, raw, C, I).E1
         nn.set_flat(net, theta)
         return float(np.sum(E1))
 
-    out, tape = nn.forward(net, F.T)
-    grads, _ = nn.backward(net, tape, np.ones_like(out))
+    fwd = meta.meta_forward(side, raw, C, I)
+    grads, _ = nn.backward(net, fwd.sel1_tape, np.ones_like(fwd.E1.T))
     numeric = nn.finite_diff_grad(loss_at, theta)
     np.testing.assert_allclose(nn.flat_grads(grads), numeric,
                                rtol=1e-5, atol=1e-8)

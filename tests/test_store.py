@@ -138,16 +138,18 @@ def test_checkpoint_roundtrip_forward_bit_identical(tmp_path):
                                                       mem.out_scale)
 
 
-def test_checkpoint_version_1_refused(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_old_version_refused(tmp_path, version):
     # version-1 checkpoints lack the label memories and hold uncentred
-    # individuality scales, so they cannot drive the current hash functions
+    # individuality scales; version-2 checkpoints hold direct-feature maps
+    # that the current autoencoder no longer has
     _, model = _trained(2)
     store.save_checkpoint(tmp_path / "ck", "hash", model.icae, model.side,
                           hyper={}, epoch=1, seed=2, loss_trace=[1.0],
                           B=model.B)
     mpath = tmp_path / "ck" / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    manifest["format_version"] = 1
+    manifest["format_version"] = version
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(store.FormatVersionError):
         store.load_checkpoint(tmp_path / "ck")
