@@ -13,20 +13,21 @@ Library layout:
 - ``hashing``     likelihood loss, sign update, phase-2 trainer, ablations
 - ``retrieval``   query encoding, Hamming ranking, MAP, head/tail breakdown
 - ``store``       bit-exact dataset/checkpoint/codes/report file formats
-- ``experiment``  end-to-end orchestration helpers
+- ``experiment``  the one run configuration (``RunConfig``), read by both
+                  phases, and end-to-end orchestration helpers
 - ``verify``      gradient checks and every oracle (also `tailhash check-grad`)
 - ``cli``         command-line interface
 """
 
 from .datagen import Dataset, LongTailSpec, generate, mu_from_if, split, zipf_counts
 from .experiment import RunConfig, TrainedModel, evaluate_model, train_full
-from .hashing import VARIANTS, HashHyper, Variant
+from .hashing import VARIANTS, Variant
 from .retrieval import EvalReport, mean_average_precision
 
 __all__ = [
     "Dataset", "LongTailSpec", "generate", "mu_from_if", "split",
     "zipf_counts", "RunConfig", "TrainedModel", "evaluate_model",
-    "train_full", "VARIANTS", "HashHyper", "Variant", "EvalReport",
+    "train_full", "VARIANTS", "Variant", "EvalReport",
     "mean_average_precision",
 ]
 

@@ -20,13 +20,16 @@ the hash side receives them as a clean, label-consistent feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import affinity, hsic, nn
 from .datagen import Dataset
+
+if TYPE_CHECKING:
+    from .experiment import RunConfig
 
 
 @dataclass
@@ -322,16 +325,7 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
     return value, {"j1": j1, "j2": j2, "j3": j3}, grads
 
 
-@dataclass
-class AeTrainConfig:
-    batch_size: int = 128
-    lr: float = 1e-2
-    max_epochs: int = 500
-    seed: int = 0
-    modality_dropout: bool = True
-
-
-def train_ae(dataset: Dataset, params: IcaeParams, cfg: AeTrainConfig
+def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
              ) -> tuple[IcaeParams, list[float]]:
     """Phase-1 minibatch SGD over the base split; returns per-epoch mean Loss1.
 
@@ -339,7 +333,8 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: AeTrainConfig
     probability 1/2 per batch one modality's block of the commonality-encoder
     input is zeroed so that single-modality query encoding stays well
     defined. After the last epoch the code scales are calibrated and the
-    label memories built over the base split.
+    label memories built over the base split. Reads batch_size, lr_ae,
+    max_epochs and seed from cfg.
     """
     Xb, Yb, Lb = dataset.base()
     if Xb.shape[0] == 0:
@@ -360,14 +355,12 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: AeTrainConfig
         epoch_losses = []
         for _ in range(t):
             idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-            drop = None
-            if cfg.modality_dropout:
-                r = rng.random()
-                drop = "x" if r < 0.25 else ("y" if r < 0.5 else None)
+            r = rng.random()
+            drop = "x" if r < 0.25 else ("y" if r < 0.5 else None)
             value, _, grads = loss1(params, Xb[idx], Yb[idx], Lb[idx],
                                     aff_x, aff_y, drop=drop)
             for name, net in params.nets().items():
-                nn.sgd_step(net, grads[name], cfg.lr)
+                nn.sgd_step(net, grads[name], cfg.lr_ae)
             epoch_losses.append(value)
         trace.append(float(np.mean(epoch_losses)))
     calibrate_code_scales(params, Xb, Yb, Lb)

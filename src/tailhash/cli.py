@@ -10,13 +10,12 @@ a JSON config file (--config), which takes precedence over defaults.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import datagen, experiment, hashing, nn, retrieval, store, verify
 
@@ -60,9 +59,17 @@ def _run_config(args) -> experiment.RunConfig:
             file_cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise CliError(f"bad config file: {e}")
+        if not isinstance(file_cfg, dict):
+            raise CliError("bad config file: not a JSON object")
         for k, v in file_cfg.items():
             if k not in values:
                 raise CliError(f"unknown config key {k!r}")
+            # a JSON integer is a valid float; a bool is not a number here
+            want = type(values[k])
+            ok = (int, float) if want is float else want
+            if isinstance(v, bool) or not isinstance(v, ok):
+                raise CliError(f"config key {k!r} must be of type "
+                               f"{want.__name__}, not {v!r}")
             values[k] = v
     for name in values:
         flag_val = getattr(args, name, None)
@@ -237,12 +244,10 @@ def cmd_ablate(args) -> int:
     icae, side0, trace1 = experiment.train_phase1(dataset, cfg)
     summary = {}
     for name, variant in hashing.VARIANTS.items():
-        # phase 2 restarts from the same seeded initial hash-side parameters
-        rng = np.random.default_rng(cfg.seed)
-        side = experiment.meta.init_side_params(
-            dataset.Fx_raw.shape[1], dataset.Fy_raw.shape[1], cfg.k, rng)
-        side, B, trace2 = experiment.train_phase2(dataset, cfg, icae, side,
-                                                  variant)
+        # phase 1 leaves the initial hash side untouched; every variant's
+        # phase 2 starts from a copy of it
+        side, B, trace2 = experiment.train_phase2(
+            dataset, cfg, icae, copy.deepcopy(side0), variant)
         model = experiment.TrainedModel(icae, side, B, trace1, trace2,
                                         variant)
         reports = experiment.evaluate_model(dataset, model,

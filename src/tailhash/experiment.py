@@ -13,7 +13,11 @@ from .datagen import Dataset
 
 @dataclass
 class RunConfig:
-    """Hyper-parameters of a full run, with the published defaults."""
+    """Hyper-parameters of a full run, with the published defaults.
+
+    The one settings object: phase 1 (autoencoder.train_ae) and phase 2
+    (hashing.train_hash) both read it.
+    """
     k: int = 16
     alpha: float = 0.05
     beta: float = 0.05
@@ -32,6 +36,8 @@ class RunConfig:
             raise ValueError("learning rates must be positive")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2")
+        if self.gamma < 0 or self.eta < 0:
+            raise ValueError("gamma and eta must be non-negative")
 
 
 @dataclass
@@ -62,11 +68,7 @@ def train_phase1(dataset: Dataset, cfg: RunConfig,
                             list[float]]:
     if icae is None or side is None:
         icae, side = init_params(dataset, cfg)
-    ae_cfg = autoencoder.AeTrainConfig(batch_size=cfg.batch_size,
-                                       lr=cfg.lr_ae,
-                                       max_epochs=cfg.max_epochs,
-                                       seed=cfg.seed)
-    icae, trace = autoencoder.train_ae(dataset, icae, ae_cfg)
+    icae, trace = autoencoder.train_ae(dataset, icae, cfg)
     return icae, side, trace
 
 
@@ -74,11 +76,7 @@ def train_phase2(dataset: Dataset, cfg: RunConfig,
                  icae: autoencoder.IcaeParams, side: meta.HashSideParams,
                  variant: hashing.Variant = hashing.VARIANTS["full"]
                  ) -> tuple[meta.HashSideParams, np.ndarray, list[float]]:
-    hyper = hashing.HashHyper(gamma=cfg.gamma, eta=cfg.eta, lr=cfg.lr_feat,
-                              batch_size=cfg.batch_size,
-                              max_epochs=cfg.max_epochs)
-    return hashing.train_hash(dataset, icae, side, hyper, seed=cfg.seed,
-                              variant=variant)
+    return hashing.train_hash(dataset, icae, side, cfg, variant)
 
 
 def train_full(dataset: Dataset, cfg: RunConfig,

@@ -9,25 +9,16 @@ B = sign(Mx + My) over the full base set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import affinity, autoencoder, meta, nn
 from .datagen import Dataset
 
-
-@dataclass
-class HashHyper:
-    gamma: float = 1.0
-    eta: float = 1.0
-    lr: float = 10.0 ** (-1.5)
-    batch_size: int = 128
-    max_epochs: int = 500
-
-    def __post_init__(self):
-        if self.gamma < 0 or self.eta < 0:
-            raise ValueError("gamma and eta must be non-negative")
+if TYPE_CHECKING:
+    from .experiment import RunConfig
 
 
 @dataclass(frozen=True)
@@ -65,7 +56,7 @@ def phi(Mx: np.ndarray, My: np.ndarray) -> np.ndarray:
 
 
 def loss2(Mx: np.ndarray, My: np.ndarray, S: np.ndarray, B: np.ndarray,
-          hyper: HashHyper) -> tuple[float, dict]:
+          gamma: float, eta: float) -> tuple[float, dict]:
     """Negative log likelihood + quantization + bit-balance terms."""
     S = np.asarray(S, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -73,14 +64,14 @@ def loss2(Mx: np.ndarray, My: np.ndarray, S: np.ndarray, B: np.ndarray,
     nll = -float(np.sum(S * ph - nn.softplus(ph)))
     quant = float(np.sum((B - Mx) ** 2) + np.sum((B - My) ** 2))
     bal = float(np.sum(Mx.sum(axis=1) ** 2) + np.sum(My.sum(axis=1) ** 2))
-    total = nll + hyper.gamma * quant + hyper.eta * bal
+    total = nll + gamma * quant + eta * bal
     if not np.isfinite(total):
         raise nn.NumericsError(
             f"non-finite Loss2 (nll={nll}, quant={quant}, bal={bal})")
     return total, {"nll": nll, "quantization": quant, "balance": bal}
 
 
-def grad_meta(M, M_other, S, B, hyper: HashHyper) -> np.ndarray:
+def grad_meta(M, M_other, S, B, gamma: float, eta: float) -> np.ndarray:
     """d Loss2 / d M for the modality whose meta features are M, column i:
     1/2 sum_j (sigma(phi_ij) - S_ij) M_other_j + 2 gamma (M_i - B_i)
     + 2 eta M 1, with phi = phi(M, M_other).
@@ -92,8 +83,8 @@ def grad_meta(M, M_other, S, B, hyper: HashHyper) -> np.ndarray:
     M_other = np.asarray(M_other, dtype=np.float64)
     A = nn.sigmoid(phi(M, M_other)) - np.asarray(S, dtype=np.float64)
     g = 0.5 * M_other @ A.T
-    g += 2.0 * hyper.gamma * (M - np.asarray(B, dtype=np.float64))
-    g += 2.0 * hyper.eta * M.sum(axis=1)[:, None]
+    g += 2.0 * gamma * (M - np.asarray(B, dtype=np.float64))
+    g += 2.0 * eta * M.sum(axis=1)[:, None]
     return g
 
 
@@ -155,7 +146,7 @@ def _step_side(side_v: meta.ModalitySide, fwd: meta.MetaForward,
 
 
 def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
-               side: meta.HashSideParams, hyper: HashHyper, seed: int = 0,
+               side: meta.HashSideParams, cfg: RunConfig,
                variant: Variant = VARIANTS["full"]
                ) -> tuple[meta.HashSideParams, np.ndarray, list[float]]:
     """Phase-2 alternating optimization of the hash-side parameters and B.
@@ -163,14 +154,16 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
     Per minibatch the image-side parameters are updated first, the text side
     second (with the image side's fresh forward); B is recomputed over the
     full base set at the end of each epoch. The autoencoder is frozen and
-    its codes enter as constants.
+    its codes enter as constants. Reads gamma, eta, lr_feat, batch_size,
+    max_epochs and seed from cfg.
     """
     Xb, Yb, Lb = dataset.base()
     n = Xb.shape[0]
     if n == 0:
         raise ValueError("empty base split")
-    rng = np.random.default_rng(seed)
-    t = int(np.ceil(n / hyper.batch_size))
+    rng = np.random.default_rng(cfg.seed)
+    t = int(np.ceil(n / cfg.batch_size))
+    gamma, eta = cfg.gamma, cfg.eta
 
     # the autoencoder is frozen, so every sample's codes are constant
     # through phase 2; compute them once
@@ -181,32 +174,33 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
 
     _, _, B = full_base_codes(dataset, icae, side, variant, codes=base_codes)
     trace: list[float] = []
-    for _ in range(hyper.max_epochs):
+    for _ in range(cfg.max_epochs):
         batch_losses = []
         for _ in range(t):
-            idx = rng.choice(n, size=min(hyper.batch_size, n), replace=False)
+            idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
             S = affinity.pair_similarity(Lb[idx]).astype(np.float64)
             B_batch = B[:, idx]
             codes = batch_codes(idx)
 
             fwd_x, fwd_y = _modality_pass(side, Xb[idx], Yb[idx], codes[0],
                                           codes[1], variant)
-            value, _ = loss2(fwd_x.M, fwd_y.M, S, B_batch, hyper)
+            value, _ = loss2(fwd_x.M, fwd_y.M, S, B_batch, gamma, eta)
             batch_losses.append(value)
 
             # the pairwise loss gradient grows with the batch size, and
             # backprop sums over the batch again; normalize by nb^2 so the
             # parameter step size is batch-size independent
             nb = idx.size
-            gx = grad_meta(fwd_x.M, fwd_y.M, S, B_batch, hyper) / nb ** 2
-            _step_side(side.x, fwd_x, gx, hyper.lr)
+            gx = grad_meta(fwd_x.M, fwd_y.M, S, B_batch, gamma, eta) / nb ** 2
+            _step_side(side.x, fwd_x, gx, cfg.lr_feat)
 
             # image side moved: re-run its forward before the text-side step;
             # the text side has not moved, so its forward is still current
             fwd_x2 = meta.meta_forward(side.x, Xb[idx], *codes[0],
                                        *variant.flags("x"))
-            gy = grad_meta(fwd_y.M, fwd_x2.M, S.T, B_batch, hyper) / nb ** 2
-            _step_side(side.y, fwd_y, gy, hyper.lr)
+            gy = grad_meta(fwd_y.M, fwd_x2.M, S.T, B_batch, gamma,
+                           eta) / nb ** 2
+            _step_side(side.y, fwd_y, gy, cfg.lr_feat)
 
         _, _, B = full_base_codes(dataset, icae, side, variant,
                                   codes=base_codes)

@@ -334,12 +334,12 @@ def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
     if expect_phase is not None and m["phase"] != expect_phase:
         raise PhaseMismatchError(
             f"{root}: phase {m['phase']!r}, expected {expect_phase!r}")
-    nets = {name: _load_net(root, name, spec, m["arrays"])
-            for name, spec in m["nets"].items()}
+    # m["nets"] is a manifest object: a missing net raises StoreError
+    net = lambda name: _load_net(root, name, m["nets"][name], m["arrays"])
     icae = autoencoder.IcaeParams(
-        enc_ind_x=nets["icae.enc_ind_x"], enc_ind_y=nets["icae.enc_ind_y"],
-        enc_common=nets["icae.enc_common"],
-        dec_x=nets["icae.dec_x"], dec_y=nets["icae.dec_y"],
+        enc_ind_x=net("icae.enc_ind_x"), enc_ind_y=net("icae.enc_ind_y"),
+        enc_common=net("icae.enc_common"),
+        dec_x=net("icae.dec_x"), dec_y=net("icae.dec_y"),
         alpha=m["hyper"].get("alpha", 0.05),
         beta=m["hyper"].get("beta", 0.05))
     prefix = "icae.code_scale."
@@ -351,8 +351,8 @@ def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
         icae.memory = {mod: _load_memory(root, m["arrays"], mod)
                        for mod in ("x", "y")}
     side = meta.HashSideParams(
-        x=meta.ModalitySide(nets["side.x.projector"], nets["side.x.selector1"]),
-        y=meta.ModalitySide(nets["side.y.projector"], nets["side.y.selector1"]))
+        x=meta.ModalitySide(net("side.x.projector"), net("side.x.selector1")),
+        y=meta.ModalitySide(net("side.y.projector"), net("side.y.selector1")))
     B = None
     if "codes" in m:
         B = _read_codes(root, m["codes"])

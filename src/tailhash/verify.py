@@ -298,7 +298,7 @@ def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, net, theta):
 def check_loss2_gradients(seed: int = 0, trials: int = 10, bug: bool = False):
     """Analytic meta-feature gradient vs finite differences of Loss2."""
     rng = np.random.default_rng(seed)
-    hyper = hashing.HashHyper(gamma=0.7, eta=0.3, max_epochs=1)
+    gamma, eta = 0.7, 0.3
     worst = 0.0
     for _ in range(trials):
         k = int(rng.integers(2, 5))
@@ -308,12 +308,12 @@ def check_loss2_gradients(seed: int = 0, trials: int = 10, bug: bool = False):
         S = (rng.random((n, n)) < 0.5).astype(float)
         S = np.maximum(S, S.T)
         B = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
-        gx = _maybe_bug(hashing.grad_meta(Mx, My, S, B, hyper), bug)
-        gy = hashing.grad_meta(My, Mx, S.T, B, hyper)
+        gx = _maybe_bug(hashing.grad_meta(Mx, My, S, B, gamma, eta), bug)
+        gy = hashing.grad_meta(My, Mx, S.T, B, gamma, eta)
         fx = nn.finite_diff_grad(
-            lambda M: hashing.loss2(M, My, S, B, hyper)[0], Mx)
+            lambda M: hashing.loss2(M, My, S, B, gamma, eta)[0], Mx)
         fy = nn.finite_diff_grad(
-            lambda M: hashing.loss2(Mx, M, S, B, hyper)[0], My)
+            lambda M: hashing.loss2(Mx, M, S, B, gamma, eta)[0], My)
         worst = max(worst, _rel_err(gx, fx), _rel_err(gy, fy))
     return ("loss2_gradients", worst <= REL_TOL, f"worst rel err {worst:.2e}")
 

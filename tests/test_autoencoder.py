@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from tailhash import affinity, autoencoder, datagen, nn
+from tailhash import affinity, autoencoder, datagen, experiment, nn
 
 
 def _tiny_icae(rng, d=3, k=2, alpha=0.05, beta=0.05):
@@ -63,7 +63,7 @@ def test_encode_rejects_mismatched_sample_counts():
         autoencoder.encode(icae, np.zeros((3, 3)), np.zeros((4, 3)))
 
 
-def test_encode_modality_dropout_zeroes_block():
+def test_encode_dropped_modality_zeroes_block():
     # loss1's modality dropout feeds the commonality encoder the dropped
     # modality's block as zeros
     rng = np.random.default_rng(4)
@@ -311,7 +311,7 @@ def test_train_ae_zero_epochs_keeps_params():
     before = {name: nn.get_flat(net).copy()
               for name, net in icae.nets().items()}
     _, trace = autoencoder.train_ae(
-        ds, icae, autoencoder.AeTrainConfig(batch_size=8, max_epochs=0))
+        ds, icae, experiment.RunConfig(batch_size=8, max_epochs=0))
     assert trace == []
     for name, net in icae.nets().items():
         np.testing.assert_array_equal(nn.get_flat(net), before[name])
@@ -322,8 +322,7 @@ def test_train_ae_trace_length_and_loss_decrease():
     ds = _tiny_dataset()
     icae = autoencoder.init_icae(6, 5, 4, rng)
     _, trace = autoencoder.train_ae(
-        ds, icae, autoencoder.AeTrainConfig(batch_size=8, max_epochs=30,
-                                            seed=0))
+        ds, icae, experiment.RunConfig(batch_size=8, max_epochs=30, seed=0))
     assert len(trace) == 30
     assert trace[-1] < trace[0]
 
@@ -339,8 +338,7 @@ def test_train_ae_noiseless_reconstruction_halves():
     rng = np.random.default_rng(13)
     icae = autoencoder.init_icae(6, 5, 4, rng, alpha=0.0, beta=0.0)
     _, trace = autoencoder.train_ae(
-        ds, icae, autoencoder.AeTrainConfig(batch_size=8, max_epochs=50,
-                                            seed=0, modality_dropout=False))
+        ds, icae, experiment.RunConfig(batch_size=8, max_epochs=50, seed=0))
     assert trace[-1] < 0.5 * trace[0]
 
 
@@ -350,8 +348,8 @@ def test_train_ae_deterministic():
     for _ in range(2):
         icae = autoencoder.init_icae(6, 5, 4, np.random.default_rng(15))
         _, trace = autoencoder.train_ae(
-            ds, icae, autoencoder.AeTrainConfig(batch_size=8, max_epochs=5,
-                                                seed=3))
+            ds, icae, experiment.RunConfig(batch_size=8, max_epochs=5,
+                                           seed=3))
         results.append((nn.get_flat(icae.enc_common).copy(), trace))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     assert results[0][1] == results[1][1]
@@ -364,4 +362,4 @@ def test_train_ae_rejects_empty_base():
                             np.arange(ds.n, dtype=np.int64), ds.meta)
     icae = autoencoder.init_icae(6, 5, 4, np.random.default_rng(16))
     with pytest.raises(ValueError):
-        autoencoder.train_ae(empty, icae, autoencoder.AeTrainConfig())
+        autoencoder.train_ae(empty, icae, experiment.RunConfig())

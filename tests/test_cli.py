@@ -165,6 +165,40 @@ def test_train_rejects_unknown_config_key(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--gamma", "-1"),
+                                         ("--eta", "-0.5")],
+                         ids=["gamma", "eta"])
+def test_train_rejects_negative_loss_weight_before_training(tmp_path, capsys,
+                                                            flag, value):
+    data = _gen(tmp_path)
+    run = tmp_path / "r"
+    capsys.readouterr()
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(run), "--k", "4", "--max-epochs", "2",
+                    flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-negative" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (run / "checkpoint_ae").exists()
+
+
+@pytest.mark.parametrize("content, detail", [
+    ({"gamma": "x"}, "'gamma' must be of type float"),
+    ({"max_epochs": 1.5}, "'max_epochs' must be of type int"),
+    ([1], "not a JSON object")], ids=["str", "float_for_int", "list"])
+def test_train_rejects_mistyped_config_file(tmp_path, capsys, content,
+                                            detail):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    code = run_cli(["train", "--dataset", str(tmp_path / "nope"),
+                    "--out", str(tmp_path / "r"), "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and detail in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_train_rejects_unknown_variant(tmp_path):
     data = _gen(tmp_path)
     code = run_cli(["train", "--dataset", str(data / "dataset"),
@@ -290,6 +324,21 @@ def test_resume_checkpoint_manifest_missing_key_is_one_line_error(tmp_path,
     # an unreadable phase-1 checkpoint is rejected input, as in encode
     assert code == 1
     _one_line_error(capsys, "error:", "nets")
+
+
+def test_checkpoint_missing_net_is_one_line_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    path = run / "checkpoint_hash" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["nets"]["icae.dec_y"]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run_cli(["encode", "--checkpoint", str(run / "checkpoint_hash"),
+                    "--dataset", str(data / "dataset"), "--modality", "x",
+                    "--out", str(tmp_path / "e")])
+    assert code == 1
+    _one_line_error(capsys, "error:", "icae.dec_y")
 
 
 @pytest.mark.parametrize("command", ["encode", "train"])

@@ -36,9 +36,9 @@ def test_phi_matches_direct_inner_products():
 def test_loss2_hand_computed_single_sample():
     # k=1, n=1, Mx=My=B=+1, S=1: phi=0.5, NLL = -(0.5 - log(1+e^0.5)),
     # quantization 0, balance eta*(1+1)
-    hyper = hashing.HashHyper(gamma=1.0, eta=1.0)
+    gamma, eta = 1.0, 1.0
     one = np.array([[1.0]])
-    total, parts = hashing.loss2(one, one, np.array([[1.0]]), one, hyper)
+    total, parts = hashing.loss2(one, one, np.array([[1.0]]), one, gamma, eta)
     nll = -(0.5 - np.log(1 + np.exp(0.5)))
     assert parts["nll"] == pytest.approx(nll)
     assert parts["quantization"] == 0.0
@@ -48,10 +48,11 @@ def test_loss2_hand_computed_single_sample():
 
 def test_loss2_zero_phi_gives_n2_log2():
     # gamma = eta = 0 and phi identically zero: loss = n^2 log 2
-    hyper = hashing.HashHyper(gamma=0.0, eta=0.0)
+    gamma, eta = 0.0, 0.0
     Mx = np.zeros((2, 3))
     My = np.zeros((2, 3))
-    total, _ = hashing.loss2(Mx, My, np.zeros((3, 3)), np.ones((2, 3)), hyper)
+    total, _ = hashing.loss2(Mx, My, np.zeros((3, 3)), np.ones((2, 3)), gamma,
+                             eta)
     assert total == pytest.approx(9 * np.log(2))
 
 
@@ -61,8 +62,8 @@ def test_loss2_gamma_scales_quantization_only():
     My = rng.standard_normal((3, 4))
     S = np.eye(4)
     B = np.where(rng.random((3, 4)) < 0.5, 1.0, -1.0)
-    t1, p1 = hashing.loss2(Mx, My, S, B, hashing.HashHyper(gamma=1.0, eta=0.5))
-    t2, p2 = hashing.loss2(Mx, My, S, B, hashing.HashHyper(gamma=2.0, eta=0.5))
+    t1, p1 = hashing.loss2(Mx, My, S, B, 1.0, 0.5)
+    t2, p2 = hashing.loss2(Mx, My, S, B, 2.0, 0.5)
     assert p1["nll"] == p2["nll"] and p1["balance"] == p2["balance"]
     assert t2 - t1 == pytest.approx(p1["quantization"])
 
@@ -73,17 +74,18 @@ def test_loss2_decomposition_exact():
     My = rng.standard_normal((3, 4))
     S = (rng.random((4, 4)) < 0.5).astype(float)
     B = np.where(rng.random((3, 4)) < 0.5, 1.0, -1.0)
-    hyper = hashing.HashHyper(gamma=0.7, eta=0.3)
-    total, parts = hashing.loss2(Mx, My, S, B, hyper)
+    gamma, eta = 0.7, 0.3
+    total, parts = hashing.loss2(Mx, My, S, B, gamma, eta)
     assert total == pytest.approx(
         parts["nll"] + 0.7 * parts["quantization"] + 0.3 * parts["balance"],
         abs=1e-10)
 
 
 def test_loss2_overflow_safe():
-    hyper = hashing.HashHyper(gamma=0.0, eta=0.0)
+    gamma, eta = 0.0, 0.0
     big = np.full((2, 2), 1000.0)
-    total, _ = hashing.loss2(big, big, np.ones((2, 2)), np.ones((2, 2)), hyper)
+    total, _ = hashing.loss2(big, big, np.ones((2, 2)), np.ones((2, 2)), gamma,
+                             eta)
     assert np.isfinite(total)
 
 
@@ -92,26 +94,26 @@ def test_grad_zero_at_stationary_point():
     Mx = np.array([[1.0, -1.0], [1.0, -1.0]])
     My = np.array([[1.0, -1.0], [-1.0, 1.0]])
     S = nn.sigmoid(hashing.phi(Mx, My))
-    hyper = hashing.HashHyper(gamma=1.0, eta=1.0)
-    g = hashing.grad_meta(Mx, My, S, Mx, hyper)
+    gamma, eta = 1.0, 1.0
+    g = hashing.grad_meta(Mx, My, S, Mx, gamma, eta)
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(3)
-    hyper = hashing.HashHyper(gamma=0.7, eta=0.3)
+    gamma, eta = 0.7, 0.3
     for _ in range(5):
         k, n = 4, 5
         Mx = rng.standard_normal((k, n))
         My = rng.standard_normal((k, n))
         S = (rng.random((n, n)) < 0.5).astype(float)
         B = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
-        gx = hashing.grad_meta(Mx, My, S, B, hyper)
-        gy = hashing.grad_meta(My, Mx, S.T, B, hyper)
+        gx = hashing.grad_meta(Mx, My, S, B, gamma, eta)
+        gy = hashing.grad_meta(My, Mx, S.T, B, gamma, eta)
         fx = nn.finite_diff_grad(
-            lambda M: hashing.loss2(M, My, S, B, hyper)[0], Mx)
+            lambda M: hashing.loss2(M, My, S, B, gamma, eta)[0], Mx)
         fy = nn.finite_diff_grad(
-            lambda M: hashing.loss2(Mx, M, S, B, hyper)[0], My)
+            lambda M: hashing.loss2(Mx, M, S, B, gamma, eta)[0], My)
         for analytic, numeric in ((gx, fx), (gy, fy)):
             err = np.linalg.norm(analytic - numeric) / max(
                 np.linalg.norm(numeric), 1e-12)
@@ -127,8 +129,8 @@ def test_grad_role_exchange_symmetry():
     My = rng.standard_normal((3, 4))
     S = (rng.random((4, 4)) < 0.5).astype(float)    # not symmetric
     B = np.where(rng.random((3, 4)) < 0.5, 1.0, -1.0)
-    hyper = hashing.HashHyper(gamma=0.7, eta=0.3)
-    gy = hashing.grad_meta(My, Mx, S.T, B, hyper)
+    gamma, eta = 0.7, 0.3
+    gy = hashing.grad_meta(My, Mx, S.T, B, gamma, eta)
     sig = nn.sigmoid(hashing.phi(Mx, My))
     want = np.zeros_like(My)
     for i in range(4):
@@ -161,7 +163,9 @@ def test_update_B_exhaustive_optimality():
 
 def test_hyper_validation():
     with pytest.raises(ValueError):
-        hashing.HashHyper(gamma=-0.1)
+        experiment.RunConfig(gamma=-0.1)
+    with pytest.raises(ValueError):
+        experiment.RunConfig(eta=-0.1)
 
 
 # -------------------------------------------------------------- phase-2 trainer
@@ -182,8 +186,8 @@ def _small_setup(seed=0):
 def test_train_hash_zero_epochs():
     ds, icae, side = _small_setup()
     before = nn.get_flat(side.x.projector).copy()
-    hyper = hashing.HashHyper(batch_size=16, max_epochs=0)
-    side, B, trace = hashing.train_hash(ds, icae, side, hyper)
+    cfg = experiment.RunConfig(batch_size=16, max_epochs=0)
+    side, B, trace = hashing.train_hash(ds, icae, side, cfg)
     assert trace == []
     np.testing.assert_array_equal(nn.get_flat(side.x.projector), before)
     # B comes from the initial parameters and is exactly binary
@@ -199,8 +203,7 @@ def test_train_hash_loss_decreases():
     cfg = experiment.RunConfig(k=16, max_epochs=10, seed=2)
     icae, side = experiment.init_params(ds, cfg)
     autoencoder.calibrate_code_scales(icae, *ds.base())
-    hyper = hashing.HashHyper(batch_size=128, max_epochs=10)
-    side, B, trace = hashing.train_hash(ds, icae, side, hyper, seed=2)
+    side, B, trace = hashing.train_hash(ds, icae, side, cfg)
     assert len(trace) == 10
     assert trace[-1] < trace[0]
     assert set(np.unique(B)) <= {-1.0, 1.0}
@@ -208,8 +211,8 @@ def test_train_hash_loss_decreases():
 
 def test_train_hash_trace_length():
     ds, icae, side = _small_setup(1)
-    hyper = hashing.HashHyper(batch_size=16, max_epochs=4)
-    _, _, trace = hashing.train_hash(ds, icae, side, hyper, seed=1)
+    cfg = experiment.RunConfig(batch_size=16, max_epochs=4, seed=1)
+    _, _, trace = hashing.train_hash(ds, icae, side, cfg)
     assert len(trace) == 4
 
 
@@ -217,8 +220,8 @@ def test_train_hash_deterministic():
     outs = []
     for _ in range(2):
         ds, icae, side = _small_setup(3)
-        hyper = hashing.HashHyper(batch_size=16, max_epochs=3)
-        side, B, trace = hashing.train_hash(ds, icae, side, hyper, seed=3)
+        cfg = experiment.RunConfig(batch_size=16, max_epochs=3, seed=3)
+        side, B, trace = hashing.train_hash(ds, icae, side, cfg)
         outs.append((B.copy(), trace))
     np.testing.assert_array_equal(outs[0][0], outs[1][0])
     assert outs[0][1] == outs[1][1]
@@ -227,8 +230,8 @@ def test_train_hash_deterministic():
 def test_train_hash_frozen_autoencoder():
     ds, icae, side = _small_setup(4)
     before = {name: nn.get_flat(net).copy() for name, net in icae.nets().items()}
-    hyper = hashing.HashHyper(batch_size=16, max_epochs=2)
-    hashing.train_hash(ds, icae, side, hyper, seed=4)
+    cfg = experiment.RunConfig(batch_size=16, max_epochs=2, seed=4)
+    hashing.train_hash(ds, icae, side, cfg)
     for name, net in icae.nets().items():
         np.testing.assert_array_equal(nn.get_flat(net), before[name])
 
