@@ -39,8 +39,6 @@ class IcaeParams:
     enc_common: nn.Mlp     # raw_dim_x + raw_dim_y -> k
     dec_x: nn.Mlp          # 2k -> raw_dim_x
     dec_y: nn.Mlp          # 2k -> raw_dim_y
-    alpha: float = 0.05
-    beta: float = 0.05
     # per-dimension RMS of each code stream over the base split, measured
     # once after phase 1; downstream consumers divide by these so the code
     # terms enter the meta fusion at unit scale (the raw commonality output
@@ -69,8 +67,7 @@ class Codes:
 
 
 def init_icae(raw_dim_x: int, raw_dim_y: int, k: int,
-              rng: np.random.Generator, alpha: float = 0.05,
-              beta: float = 0.05) -> IcaeParams:
+              rng: np.random.Generator) -> IcaeParams:
     """Initialize the autoencoder over the raw features of each modality."""
     hidden = max(2 * k, 64)
     d_x, d_y = raw_dim_x, raw_dim_y
@@ -79,8 +76,7 @@ def init_icae(raw_dim_x: int, raw_dim_y: int, k: int,
         enc_ind_y=nn.init_mlp([d_y, hidden, k], rng),
         enc_common=nn.init_mlp([d_x + d_y, hidden, k], rng),
         dec_x=nn.init_mlp([2 * k, hidden, d_x], rng),
-        dec_y=nn.init_mlp([2 * k, hidden, d_y], rng),
-        alpha=alpha, beta=beta)
+        dec_y=nn.init_mlp([2 * k, hidden, d_y], rng))
 
 
 def _common_input(Fx: np.ndarray, Fy: np.ndarray,
@@ -98,25 +94,13 @@ def _common_input(Fx: np.ndarray, Fy: np.ndarray,
 
 
 def encode(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray) -> Codes:
-    """Individuality and commonality codes of a batch, (n, k) each.
-
-    Once calibration scales exist (after phase 1) each code dimension is
-    standardized: the individuality codes are centred on their base-split
-    mean and divided by the RMS about it, the commonality code is divided
-    by its base-split RMS.
-    """
+    """Unscaled individuality and commonality codes of a batch, (n, k) each."""
     if np.shape(Fx)[0] != np.shape(Fy)[0]:
         raise ValueError("modalities must have the same sample count")
     Px, _ = nn.forward(params.enc_ind_x, np.asarray(Fx, dtype=np.float64).T)
     Py, _ = nn.forward(params.enc_ind_y, np.asarray(Fy, dtype=np.float64).T)
     Cs, _ = nn.forward(params.enc_common, _common_input(Fx, Fy, None))
-    codes = Codes(Px.T, Py.T, Cs.T)
-    if params.code_scales is not None:
-        s = params.code_scales
-        codes = Codes((codes.Px - s["px_mean"]) / s["px"],
-                      (codes.Py - s["py_mean"]) / s["py"],
-                      codes.Cstar / s["c"])
-    return codes
+    return Codes(Px.T, Py.T, Cs.T)
 
 
 SCALE_FLOOR = 1e-8
@@ -131,9 +115,8 @@ def calibrate_code_scales(params: IcaeParams, Xb: np.ndarray,
     by the RMS about that mean: an off-centre code would enter every hash
     bit as a bias, which the phase-2 bit-balance term then works against.
     "cx" / "cy" are the commonality scales when only that modality is
-    present (the query-time regime); "c" is the both-modality scale.
+    present, the query-time regime that hash_codes encodes.
     """
-    params.code_scales = None
     rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)), SCALE_FLOOR)
     both = encode(params, Xb, Yb)
 
@@ -145,9 +128,8 @@ def calibrate_code_scales(params: IcaeParams, Xb: np.ndarray,
     px_mean, py_mean = both.Px.mean(axis=0), both.Py.mean(axis=0)
     px, py = rms(both.Px - px_mean), rms(both.Py - py_mean)
     params.code_scales = {"px_mean": px_mean, "py_mean": py_mean,
-                          "px": px, "py": py, "c": rms(both.Cstar),
+                          "px": px, "py": py,
                           "cx": common_rms("y"), "cy": common_rms("x")}
-    # the standardized individuality codes: what encode returns from here on
     params.memory = build_memory((both.Px - px_mean) / px,
                                  (both.Py - py_mean) / py, Lb)
 
@@ -271,8 +253,10 @@ def reconstruction_loss(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray,
 
 def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
           aff_x: affinity.LabelAffinity, aff_y: affinity.LabelAffinity,
-          drop: Optional[str] = None) -> tuple[float, dict, dict]:
-    """Full phase-1 loss with analytic gradients for all five nets.
+          alpha: float, beta: float, drop: Optional[str] = None
+          ) -> tuple[float, dict, dict]:
+    """Full phase-1 loss alpha * J1 + beta * J2 + J3 with analytic gradients
+    for all five nets.
 
     Returns (value, parts, grads) where parts has the raw J1/J2/J3 values and
     grads maps net name -> per-layer (dW, db) list.
@@ -304,9 +288,9 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
 
     j3, rec = reconstruction_loss(params, Fx, Fy, codes)
 
-    dCs = params.alpha * dCs_j1 + rec["dCstar"].T
-    dPx = params.beta * gPx_rows.T + rec["dPx"].T
-    dPy = params.beta * gPy_rows.T + rec["dPy"].T
+    dCs = alpha * dCs_j1 + rec["dCstar"].T
+    dPx = beta * gPx_rows.T + rec["dPx"].T
+    dPy = beta * gPy_rows.T + rec["dPy"].T
 
     grads = {
         "enc_ind_x": nn.backward(params.enc_ind_x, tape_ix, dPx,
@@ -318,7 +302,7 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
         "dec_x": rec["dec_x"],
         "dec_y": rec["dec_y"],
     }
-    value = params.alpha * j1 + params.beta * j2 + j3
+    value = alpha * j1 + beta * j2 + j3
     if not np.isfinite(value):
         raise nn.NumericsError(
             f"non-finite Loss1 (j1={j1}, j2={j2}, j3={j3})")
@@ -333,8 +317,8 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     probability 1/2 per batch one modality's block of the commonality-encoder
     input is zeroed so that single-modality query encoding stays well
     defined. After the last epoch the code scales are calibrated and the
-    label memories built over the base split. Reads batch_size, lr_ae,
-    max_epochs and seed from cfg.
+    label memories built over the base split. Reads alpha, beta,
+    batch_size, lr_ae, max_epochs and seed from cfg.
     """
     Xb, Yb, Lb = dataset.base()
     if Xb.shape[0] == 0:
@@ -358,7 +342,8 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
             r = rng.random()
             drop = "x" if r < 0.25 else ("y" if r < 0.5 else None)
             value, _, grads = loss1(params, Xb[idx], Yb[idx], Lb[idx],
-                                    aff_x, aff_y, drop=drop)
+                                    aff_x, aff_y, cfg.alpha, cfg.beta,
+                                    drop=drop)
             for name, net in params.nets().items():
                 nn.sgd_step(net, grads[name], cfg.lr_ae)
             epoch_losses.append(value)

@@ -95,9 +95,7 @@ def cmd_gen_data(args) -> int:
             shared_dim=args.shared_dim, private_dim=args.private_dim,
             noise_sigma=args.noise_sigma,
             exclusive_tail_fraction=args.exclusive_tail_fraction,
-            exclusive_signal_scale=args.exclusive_signal_scale,
             secondary_label_prob=args.secondary_label_prob,
-            labels_per_sample_max=args.labels_per_sample_max,
             seed=args.seed)
     except ValueError as e:
         raise CliError(str(e))
@@ -129,14 +127,14 @@ def _check_resumable(path: Path, ckpt: store.Checkpoint,
                      cfg: experiment.RunConfig,
                      dataset: datagen.Dataset) -> None:
     """Reject a phase-1 checkpoint whose shapes, loss weights or training
-    data do not fit this run."""
-    checks = [("k", ckpt.icae.k, cfg.k),
-              ("alpha", ckpt.icae.alpha, cfg.alpha),
-              ("beta", ckpt.icae.beta, cfg.beta),
-              ("raw_dim_x", ckpt.icae.enc_ind_x.in_dim,
-               dataset.Fx_raw.shape[1]),
-              ("raw_dim_y", ckpt.icae.enc_ind_y.in_dim,
-               dataset.Fy_raw.shape[1])]
+    data do not fit this run. A key missing from the checkpoint's record
+    raises StoreError."""
+    checks = [(name, ckpt.hyper[name], getattr(cfg, name))
+              for name in ("k", "alpha", "beta")]
+    checks += [("raw_dim_x", ckpt.icae.enc_ind_x.in_dim,
+                dataset.Fx_raw.shape[1]),
+               ("raw_dim_y", ckpt.icae.enc_ind_y.in_dim,
+                dataset.Fy_raw.shape[1])]
     checks += [(name, ckpt.hyper[name], want)
                for name, want in _dataset_fingerprint(dataset).items()]
     for name, have, want in checks:
@@ -153,6 +151,8 @@ def cmd_train(args) -> int:
     if variant is None:
         raise CliError(f"unknown variant {args.variant!r}")
 
+    # every checkpoint records the whole run configuration
+    hyper = dataclasses.asdict(cfg)
     ae_path = out / "checkpoint_ae"
     resumed = False
     if args.resume and (ae_path / "manifest.json").exists():
@@ -166,22 +166,13 @@ def cmd_train(args) -> int:
     else:
         icae, side, trace1 = experiment.train_phase1(dataset, cfg)
         store.save_checkpoint(ae_path, "ae", icae, side,
-                              hyper={"lr_ae": cfg.lr_ae,
-                                     "batch_size": cfg.batch_size,
-                                     **_dataset_fingerprint(dataset)},
-                              epoch=cfg.max_epochs, seed=cfg.seed,
-                              loss_trace=trace1)
+                              dict(hyper, **_dataset_fingerprint(dataset)),
+                              trace1)
     side, B, trace2 = experiment.train_phase2(dataset, cfg, icae, side,
                                               variant)
     store.save_checkpoint(out / "checkpoint_hash", "hash", icae, side,
-                          hyper={"gamma": cfg.gamma, "eta": cfg.eta,
-                                 "lr_feat": cfg.lr_feat,
-                                 "batch_size": cfg.batch_size,
-                                 "k": cfg.k, "variant": variant.name},
-                          epoch=cfg.max_epochs, seed=cfg.seed,
-                          loss_trace=trace2, B=B)
-    _write_run_manifest(out, "train", dict(vars(args),
-                                           **dataclasses.asdict(cfg)))
+                          dict(hyper, variant=variant.name), trace2, B=B)
+    _write_run_manifest(out, "train", dict(vars(args), **hyper))
     print(f"phase 1 {'resumed from checkpoint' if resumed else 'trained'}; "
           f"checkpoints under {out}")
     return 0
@@ -196,9 +187,12 @@ def cmd_encode(args) -> int:
     dataset = _load_dataset(args.dataset)
     try:
         ckpt = store.load_checkpoint(args.checkpoint, expect_phase="hash")
+        name = ckpt.hyper["variant"]
     except store.StoreError as e:
         raise CliError(str(e))
-    variant = hashing.VARIANTS[ckpt.hyper.get("variant", "full")]
+    variant = hashing.VARIANTS.get(name) if isinstance(name, str) else None
+    if variant is None:
+        raise CliError(f"{args.checkpoint}: unknown variant {name!r}")
     X, Y, _ = dataset.base() if args.split == "base" else dataset.query()
     raw = X if args.modality == "x" else Y
     codes = retrieval.encode_query(args.modality, raw, ckpt.icae, ckpt.side,
@@ -292,9 +286,7 @@ def build_parser() -> _Parser:
     p.add_argument("--private-dim", type=int, default=4)
     p.add_argument("--noise-sigma", type=float, default=0.1)
     p.add_argument("--exclusive-tail-fraction", type=float, default=0.0)
-    p.add_argument("--exclusive-signal-scale", type=float, default=1.0)
     p.add_argument("--secondary-label-prob", type=float, default=0.5)
-    p.add_argument("--labels-per-sample-max", type=int, default=2)
     p.add_argument("--query-size", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -28,8 +28,6 @@ class LongTailSpec:
     private_dim: int = 4
     noise_sigma: float = 0.1
     exclusive_tail_fraction: float = 0.0
-    exclusive_signal_scale: float = 1.0
-    labels_per_sample_max: int = 2
     secondary_label_prob: float = 0.5
     seed: int = 0
 
@@ -50,12 +48,8 @@ class LongTailSpec:
                 raise ValueError("dimensions must be >= 1")
         if not 0.0 <= self.exclusive_tail_fraction <= 1.0:
             raise ValueError("exclusive_tail_fraction must be in [0, 1]")
-        if self.exclusive_signal_scale <= 0.0:
-            raise ValueError("exclusive_signal_scale must be positive")
         if not 0.0 <= self.secondary_label_prob <= 1.0:
             raise ValueError("secondary_label_prob must be in [0, 1]")
-        if self.labels_per_sample_max < 1:
-            raise ValueError("labels_per_sample_max must be >= 1")
 
 
 @dataclass
@@ -129,11 +123,8 @@ def generate(spec: LongTailSpec) -> Dataset:
         shared[tail] = 0.0
         # the surviving private prototype is rescaled so every label plants
         # the same expected signal power in its informative modality
-        # (a non-exclusive label spreads power over shared + private dims);
-        # exclusive_signal_scale adjusts how prominent that signal is on top
-        # of the equalization
-        boost = spec.exclusive_signal_scale * np.sqrt(
-            (spec.shared_dim + spec.private_dim) / spec.private_dim)
+        # (a non-exclusive label spreads power over shared + private dims)
+        boost = np.sqrt((spec.shared_dim + spec.private_dim) / spec.private_dim)
         # alternate which modality keeps the private signal
         for j, a in enumerate(tail):
             if j % 2 == 0:
@@ -153,8 +144,7 @@ def generate(spec: LongTailSpec) -> Dataset:
     for a in range(c):
         for _ in range(counts[a]):
             L[i, a] = 1
-            if (spec.labels_per_sample_max >= 2 and c >= 2
-                    and rng.random() < spec.secondary_label_prob):
+            if rng.random() < spec.secondary_label_prob:
                 b = int(rng.integers(0, c - 1))
                 if b >= a:
                     b += 1
@@ -178,8 +168,6 @@ def generate(spec: LongTailSpec) -> Dataset:
             "shared_dim": spec.shared_dim, "private_dim": spec.private_dim,
             "noise_sigma": spec.noise_sigma,
             "exclusive_tail_fraction": spec.exclusive_tail_fraction,
-            "exclusive_signal_scale": spec.exclusive_signal_scale,
-            "labels_per_sample_max": spec.labels_per_sample_max,
             "secondary_label_prob": spec.secondary_label_prob,
             "seed": spec.seed,
         },

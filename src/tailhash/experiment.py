@@ -56,8 +56,7 @@ def init_params(dataset: Dataset, cfg: RunConfig
     side = meta.init_side_params(dataset.Fx_raw.shape[1],
                                  dataset.Fy_raw.shape[1], cfg.k, rng)
     icae = autoencoder.init_icae(dataset.Fx_raw.shape[1],
-                                 dataset.Fy_raw.shape[1], cfg.k, rng,
-                                 alpha=cfg.alpha, beta=cfg.beta)
+                                 dataset.Fy_raw.shape[1], cfg.k, rng)
     return icae, side
 
 

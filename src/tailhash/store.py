@@ -3,15 +3,17 @@
 Each container is a directory holding a ``manifest.json`` plus one raw binary
 file per matrix: little-endian float64 row-major for real arrays, one byte
 per cell (0/1) for label matrices, packed bits for hash codes (-1 stored as
-0). Every array carries a CRC-32 in the manifest. All formats share one
-``format_version``, and a container of any other version is refused.
+0, in ``codes.bin``). Every array has one entry under the manifest's
+``arrays`` with its file, dtype, shape and CRC-32, and is checked against
+all of them on load. All formats share one ``format_version``, and a
+container of any other version is refused.
 
-Version 3 checkpoints hold the five autoencoder nets (no direct-feature
-maps: the encoders read the raw features), the centred individuality code
-scales, the per-modality label memories and a single (commonality) selector
-per modality. A phase-1 checkpoint's ``hyper`` also records the CRC-32 of
-the dataset's ``features_x`` and ``features_y`` arrays, so that
-``train --resume`` can refuse a checkpoint trained on other data.
+Version 4 checkpoints hold the five autoencoder nets, the centred
+individuality and single-modality commonality code scales, the
+per-modality label memories, a single (commonality) selector per modality
+and, after phase 2, the unified codes B. Their ``hyper`` is the caller's
+record of the run (the CLI writes the whole run configuration plus the
+dataset fingerprint or the variant); this module does not interpret it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import autoencoder, meta, nn
 from .datagen import Dataset
 from .retrieval import EvalReport
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 CSV_HEADER = ["direction", "variant", "map", "head_map", "tail_map",
               "head_tail_split_index", "n_queries", "n_excluded",
@@ -57,10 +59,26 @@ class PhaseMismatchError(StoreError):
 
 
 _DTYPES = {"float64": "<f8", "uint8": "u1"}
+BITS = "bits"   # a +/-1 matrix packed one bit per cell
 
 
-def _array_bytes(arr: np.ndarray) -> tuple[str, bytes]:
-    """(dtype name, bytes) of an array as written to disk."""
+def pack_codes(B: np.ndarray) -> bytes:
+    """Bit-pack a +/-1 matrix (-1 stored as 0)."""
+    return np.packbits(np.asarray(B) > 0).tobytes()
+
+
+def unpack_codes(data: bytes, shape: tuple[int, int]) -> np.ndarray:
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+                         count=int(np.prod(shape)))
+    return np.where(bits.reshape(shape) > 0, 1.0, -1.0)
+
+
+def _array_bytes(arr: np.ndarray, dtype: Optional[str] = None
+                 ) -> tuple[str, bytes]:
+    """(dtype name, bytes) of an array as written to disk; dtype BITS packs
+    a +/-1 matrix, otherwise the dtype follows the array."""
+    if dtype == BITS:
+        return BITS, pack_codes(arr)
     if arr.dtype == np.uint8:
         return "uint8", np.ascontiguousarray(arr).tobytes()
     return "float64", np.ascontiguousarray(arr, dtype="<f8").tobytes()
@@ -71,8 +89,9 @@ def array_crc32(arr: np.ndarray) -> int:
     return zlib.crc32(_array_bytes(arr)[1])
 
 
-def _write_array(root: Path, name: str, arr: np.ndarray) -> dict:
-    dtype, data = _array_bytes(arr)
+def _write_array(root: Path, name: str, arr: np.ndarray,
+                 dtype: Optional[str] = None) -> dict:
+    dtype, data = _array_bytes(arr, dtype)
     fname = name + ".bin"
     (root / fname).write_bytes(data)
     return {"file": fname, "dtype": dtype, "shape": list(arr.shape),
@@ -90,14 +109,21 @@ def _read_array(root: Path, entry: dict) -> np.ndarray:
     path = root / entry["file"]
     data = _read_bytes(path)
     shape = tuple(entry["shape"])
-    dtype = np.dtype(_DTYPES[entry["dtype"]])
-    expected = int(np.prod(shape)) * dtype.itemsize
+    kind = entry["dtype"]
+    if kind == BITS:
+        expected = (int(np.prod(shape)) + 7) // 8
+    elif kind in _DTYPES:
+        expected = int(np.prod(shape)) * np.dtype(_DTYPES[kind]).itemsize
+    else:
+        raise StoreError(f"{path}: unknown dtype {kind!r}")
     if len(data) != expected:
         raise TruncatedFileError(
             f"{path}: expected {expected} bytes, found {len(data)}")
     if zlib.crc32(data) != entry["crc32"]:
         raise ChecksumError(f"{path}: CRC-32 mismatch")
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    if kind == BITS:
+        return unpack_codes(data, shape)
+    return np.frombuffer(data, dtype=_DTYPES[kind]).reshape(shape).copy()
 
 
 def _write_manifest(root: Path, manifest: dict) -> None:
@@ -193,36 +219,13 @@ def load_dataset(path) -> Dataset:
 
 # ------------------------------------------------------------------- codes
 
-def pack_codes(B: np.ndarray) -> bytes:
-    """Bit-pack a +/-1 matrix (-1 stored as 0)."""
-    return np.packbits(np.asarray(B) > 0).tobytes()
-
-
-def unpack_codes(data: bytes, shape: tuple[int, int]) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
-                         count=int(np.prod(shape)))
-    return np.where(bits.reshape(shape) > 0, 1.0, -1.0)
-
-
-def _read_codes(root: Path, entry: dict) -> np.ndarray:
-    """codes.bin of a container, checked against entry's CRC-32 and shape."""
-    path = root / "codes.bin"
-    data = _read_bytes(path)
-    if zlib.crc32(data) != entry["crc32"]:
-        raise ChecksumError(f"{path}: CRC-32 mismatch")
-    return unpack_codes(data, tuple(entry["shape"]))
-
-
 def save_codes(path, B: np.ndarray, info: Optional[dict] = None) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    data = pack_codes(B)
-    (root / "codes.bin").write_bytes(data)
     _write_manifest(root, {
         "format_version": FORMAT_VERSION,
         "kind": "codes",
-        "shape": list(np.shape(B)),
-        "crc32": zlib.crc32(data),
+        "arrays": {"codes": _write_array(root, "codes", B, BITS)},
         "info": info or {},
     })
 
@@ -232,7 +235,7 @@ def load_codes(path) -> tuple[np.ndarray, dict]:
     m = _read_manifest(root)
     if m.get("kind") != "codes":
         raise StoreError(f"{root} is not a codes container")
-    return _read_codes(root, m), m["info"]
+    return _read_array(root, m["arrays"]["codes"]), m["info"]
 
 
 # ------------------------------------------------------------- checkpoints
@@ -265,16 +268,14 @@ class Checkpoint:
     phase: str                    # "ae" or "hash"
     icae: autoencoder.IcaeParams
     side: meta.HashSideParams
-    hyper: dict
-    epoch: int
-    seed: int
+    hyper: dict                   # missing keys raise StoreError
     loss_trace: list[float]
     B: Optional[np.ndarray] = None
 
 
 def save_checkpoint(path, phase: str, icae: autoencoder.IcaeParams,
-                    side: meta.HashSideParams, hyper: dict, epoch: int,
-                    seed: int, loss_trace: list[float],
+                    side: meta.HashSideParams, hyper: dict,
+                    loss_trace: list[float],
                     B: Optional[np.ndarray] = None) -> None:
     if phase not in ("ae", "hash"):
         raise ValueError("phase must be 'ae' or 'hash'")
@@ -299,23 +300,17 @@ def save_checkpoint(path, phase: str, icae: autoencoder.IcaeParams,
         for part in ("projector", "selector1"):
             key = f"side.{mod}.{part}"
             nets[key] = _save_net(root, key, getattr(sv, part), arrays)
-    manifest = {
+    if B is not None:
+        arrays["codes"] = _write_array(root, "codes", B, BITS)
+    _write_manifest(root, {
         "format_version": FORMAT_VERSION,
         "kind": "checkpoint",
         "phase": phase,
-        "hyper": dict(hyper, alpha=icae.alpha, beta=icae.beta),
-        "epoch": int(epoch),
-        "seed": int(seed),
+        "hyper": hyper,
         "loss_trace": [float(v) for v in loss_trace],
         "nets": nets,
         "arrays": arrays,
-    }
-    if B is not None:
-        data = pack_codes(B)
-        (root / "codes.bin").write_bytes(data)
-        manifest["codes"] = {"shape": list(np.shape(B)),
-                             "crc32": zlib.crc32(data)}
-    _write_manifest(root, manifest)
+    })
 
 
 def _load_memory(root: Path, arrays: dict, mod: str) -> autoencoder.LabelMemory:
@@ -339,9 +334,7 @@ def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
     icae = autoencoder.IcaeParams(
         enc_ind_x=net("icae.enc_ind_x"), enc_ind_y=net("icae.enc_ind_y"),
         enc_common=net("icae.enc_common"),
-        dec_x=net("icae.dec_x"), dec_y=net("icae.dec_y"),
-        alpha=m["hyper"].get("alpha", 0.05),
-        beta=m["hyper"].get("beta", 0.05))
+        dec_x=net("icae.dec_x"), dec_y=net("icae.dec_y"))
     prefix = "icae.code_scale."
     scales = {key[len(prefix):]: _read_array(root, entry)
               for key, entry in m["arrays"].items() if key.startswith(prefix)}
@@ -353,12 +346,10 @@ def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
     side = meta.HashSideParams(
         x=meta.ModalitySide(net("side.x.projector"), net("side.x.selector1")),
         y=meta.ModalitySide(net("side.y.projector"), net("side.y.selector1")))
-    B = None
-    if "codes" in m:
-        B = _read_codes(root, m["codes"])
+    B = (_read_array(root, m["arrays"]["codes"])
+         if "codes" in m["arrays"] else None)
     return Checkpoint(phase=m["phase"], icae=icae, side=side,
-                      hyper=m["hyper"], epoch=m["epoch"], seed=m["seed"],
-                      loss_trace=m["loss_trace"], B=B)
+                      hyper=m["hyper"], loss_trace=m["loss_trace"], B=B)
 
 
 # ----------------------------------------------------------------- reports

@@ -236,6 +236,7 @@ def check_label_affinity(seed: int = 0, trials: int = 3, bug: bool = False):
 def check_loss1_gradients(seed: int = 0, trials: int = 3, bug: bool = False):
     """Full phase-1 loss gradient vs finite differences on tiny instances."""
     rng = np.random.default_rng(seed)
+    alpha, beta = 0.3, 0.5
     worst = 0.0
     for _ in range(trials):
         n, k, d = 6, 2, 3
@@ -250,27 +251,28 @@ def check_loss1_gradients(seed: int = 0, trials: int = 3, bug: bool = False):
             enc_ind_y=nn.init_mlp([d, 3, k], rng),
             enc_common=nn.init_mlp([2 * d, 3, k], rng),
             dec_x=nn.init_mlp([2 * k, 3, d], rng),
-            dec_y=nn.init_mlp([2 * k, 3, d], rng),
-            alpha=0.3, beta=0.5)
+            dec_y=nn.init_mlp([2 * k, 3, d], rng))
         Fx = rng.standard_normal((n, d))
         Fy = rng.standard_normal((n, d))
         L = np.zeros((n, c), dtype=np.uint8)
         L[np.arange(n), np.arange(n) % c] = 1
         aff_x = affinity.label_affinity(Fx, L)
         aff_y = affinity.label_affinity(Fy, L)
-        _, _, grads = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y)
+        _, _, grads = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y,
+                                        alpha, beta)
         for name, net in icae.nets().items():
             theta = nn.get_flat(net)
             # bandwidths are pinned at the base point: the analytic gradient
             # deliberately does not differentiate through sigma
             numeric = _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y,
-                                                net, theta)
+                                                alpha, beta, net, theta)
             analytic = _maybe_bug(nn.flat_grads(grads[name]), bug)
             worst = max(worst, _rel_err(analytic, numeric))
     return ("loss1_gradients", worst <= REL_TOL, f"worst rel err {worst:.2e}")
 
 
-def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, net, theta):
+def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, alpha, beta,
+                              net, theta):
     """Central differences of Loss1 over one net's parameters with the HSIC
     bandwidths pinned at their base-point values (matching the analytic
     stop-gradient through sigma)."""
@@ -290,7 +292,7 @@ def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, net, theta):
                              hsic.rbf_kernel(codes.Py, sy))
         j3, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
         nn.set_flat(net, theta)
-        return icae.alpha * j1 + icae.beta * j2 + j3
+        return alpha * j1 + beta * j2 + j3
 
     return nn.finite_diff_grad(value_at, theta)
 

@@ -251,8 +251,8 @@ def test_criterion_10_persistence(tmp_path):
     cfg = experiment.RunConfig(k=4, max_epochs=2, seed=0)
     model = experiment.train_full(ds, cfg)
     store.save_checkpoint(tmp_path / "ck", "hash", model.icae, model.side,
-                          hyper={"k": 4}, epoch=2, seed=0,
-                          loss_trace=model.loss2_trace, B=model.B)
+                          hyper={"k": 4}, loss_trace=model.loss2_trace,
+                          B=model.B)
     ckpt = store.load_checkpoint(tmp_path / "ck")
     Xq, Yq, _ = ds.query()
     forward_ok = all(

@@ -8,14 +8,13 @@ import pytest
 from tailhash import affinity, autoencoder, datagen, experiment, nn
 
 
-def _tiny_icae(rng, d=3, k=2, alpha=0.05, beta=0.05):
+def _tiny_icae(rng, d=3, k=2):
     return autoencoder.IcaeParams(
         enc_ind_x=nn.init_mlp([d, 3, k], rng),
         enc_ind_y=nn.init_mlp([d, 3, k], rng),
         enc_common=nn.init_mlp([2 * d, 3, k], rng),
         dec_x=nn.init_mlp([2 * k, 3, d], rng),
-        dec_y=nn.init_mlp([2 * k, 3, d], rng),
-        alpha=alpha, beta=beta)
+        dec_y=nn.init_mlp([2 * k, 3, d], rng))
 
 
 def _labels(n, c):
@@ -77,7 +76,7 @@ def test_encode_dropped_modality_zeroes_block():
     L = _labels(4, 2)
     aff = affinity.label_affinity(Fx, L)
     with pytest.raises(ValueError):
-        autoencoder.loss1(icae, Fx, Fy, L, aff, aff, drop="z")
+        autoencoder.loss1(icae, Fx, Fy, L, aff, aff, 0.05, 0.05, drop="z")
 
 
 def test_code_scales_standardize_codes():
@@ -86,12 +85,15 @@ def test_code_scales_standardize_codes():
     Xb = rng.standard_normal((40, 3))
     Yb = rng.standard_normal((40, 3))
     autoencoder.calibrate_code_scales(icae, Xb, Yb, _labels(40, 2))
+    s = icae.code_scales
     codes = autoencoder.encode(icae, Xb, Yb)
-    for arr in (codes.Px, codes.Py, codes.Cstar):
+    Px = (codes.Px - s["px_mean"]) / s["px"]
+    Py = (codes.Py - s["py_mean"]) / s["py"]
+    for arr in (Px, Py):
         np.testing.assert_allclose(np.sqrt(np.mean(arr ** 2, axis=0)), 1.0,
                                    atol=1e-10)
     # the individuality codes are also centred over the base split
-    for arr in (codes.Px, codes.Py):
+    for arr in (Px, Py):
         np.testing.assert_allclose(arr.mean(axis=0), 0.0, atol=1e-12)
     # each single-modality commonality stream has its own calibration
     for modality, raw in (("x", Xb), ("y", Yb)):
@@ -111,7 +113,6 @@ def test_code_scales_match_full_single_modality_encodings():
     autoencoder.calibrate_code_scales(icae, Xb, Yb, Lb)
     got_scales, got_memory = icae.code_scales, icae.memory
 
-    icae.code_scales = None
     rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)),
                                autoencoder.SCALE_FLOOR)
     both = autoencoder.encode(icae, Xb, Yb)
@@ -120,8 +121,7 @@ def test_code_scales_match_full_single_modality_encodings():
     px_mean, py_mean = both.Px.mean(axis=0), both.Py.mean(axis=0)
     px, py = rms(both.Px - px_mean), rms(both.Py - py_mean)
     want = {"px_mean": px_mean, "py_mean": py_mean, "px": px, "py": py,
-            "c": rms(both.Cstar), "cx": rms(only_x.Cstar),
-            "cy": rms(only_y.Cstar)}
+            "cx": rms(only_x.Cstar), "cy": rms(only_y.Cstar)}
     assert got_scales.keys() == want.keys()
     for name in want:
         np.testing.assert_array_equal(got_scales[name], want[name])
@@ -160,9 +160,11 @@ def test_build_memory_weights_and_scale():
         assert np.all((mem.weights >= 0.0) & (mem.weights <= 1.0))
     # a label is claimed by at most one modality's memory
     assert np.all(np.minimum(mx.weights, my.weights) == 0.0)
-    # the recall has unit RMS over the base split
+    # the recall of the standardized codes has unit RMS over the base split
+    s = icae.code_scales
     codes = autoencoder.encode(icae, Xb, Yb)
-    for mem, P in ((mx, codes.Px), (my, codes.Py)):
+    for mem, P in ((mx, (codes.Px - s["px_mean"]) / s["px"]),
+                   (my, (codes.Py - s["py_mean"]) / s["py"])):
         rms = np.sqrt(np.mean(autoencoder.recall(mem, P) ** 2))
         np.testing.assert_allclose(rms, 1.0, atol=1e-12)
 
@@ -178,9 +180,7 @@ def test_hash_codes_match_single_modality_encoding():
     s = icae.code_scales
     # the unscaled codes of a full encoding with the x block zeroed,
     # standardized with the y-only commonality scale
-    icae.code_scales = None
     only_y = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
-    icae.code_scales = s
     C, I = autoencoder.hash_codes(icae, "y", Yb)
     np.testing.assert_array_equal(C, only_y.Cstar / s["cy"])
     np.testing.assert_array_equal(
@@ -258,14 +258,15 @@ def test_reconstruction_gradient_matches_finite_differences():
 
 def test_loss1_reduces_to_j3_when_alpha_beta_zero():
     rng = np.random.default_rng(9)
-    icae = _tiny_icae(rng, alpha=0.0, beta=0.0)
+    icae = _tiny_icae(rng)
     n, c = 6, 3
     Fx = rng.standard_normal((n, 3))
     Fy = rng.standard_normal((n, 3))
     L = _labels(n, c)
     aff_x = affinity.label_affinity(Fx, L)
     aff_y = affinity.label_affinity(Fy, L)
-    value, parts, _ = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y)
+    value, parts, _ = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y,
+                                        0.0, 0.0)
     codes = autoencoder.encode(icae, Fx, Fy)
     j3, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
     assert value == pytest.approx(j3, abs=1e-12)
@@ -274,14 +275,15 @@ def test_loss1_reduces_to_j3_when_alpha_beta_zero():
 
 def test_loss1_decomposition_exact():
     rng = np.random.default_rng(10)
-    icae = _tiny_icae(rng, alpha=0.3, beta=0.7)
+    icae = _tiny_icae(rng)
     n, c = 6, 3
     Fx = rng.standard_normal((n, 3))
     Fy = rng.standard_normal((n, 3))
     L = _labels(n, c)
     aff_x = affinity.label_affinity(Fx, L)
     aff_y = affinity.label_affinity(Fy, L)
-    value, parts, _ = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y)
+    value, parts, _ = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y,
+                                        0.3, 0.7)
     assert value == pytest.approx(
         0.3 * parts["j1"] + 0.7 * parts["j2"] + parts["j3"], abs=1e-10)
 
@@ -336,9 +338,10 @@ def test_train_ae_noiseless_reconstruction_halves():
                          np.arange(ds.n, dtype=np.int64),
                          np.zeros(0, dtype=np.int64), ds.meta)
     rng = np.random.default_rng(13)
-    icae = autoencoder.init_icae(6, 5, 4, rng, alpha=0.0, beta=0.0)
+    icae = autoencoder.init_icae(6, 5, 4, rng)
     _, trace = autoencoder.train_ae(
-        ds, icae, experiment.RunConfig(batch_size=8, max_epochs=50, seed=0))
+        ds, icae, experiment.RunConfig(alpha=0.0, beta=0.0, batch_size=8,
+                                       max_epochs=50, seed=0))
     assert trace[-1] < 0.5 * trace[0]
 
 

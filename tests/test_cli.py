@@ -287,11 +287,20 @@ def test_missing_codes_file_is_one_line_error(tmp_path, capsys, command):
     assert len(err.strip().splitlines()) == 1
 
 
-def _drop_manifest_key(container, key):
+def _edit_manifest(container, edit):
     path = container / "manifest.json"
     manifest = json.loads(path.read_text())
-    del manifest[key]
+    edit(manifest)
     path.write_text(json.dumps(manifest))
+
+
+def _drop_manifest_key(container, *keys):
+    """Delete manifest[keys[0]]...[keys[-1]]."""
+    def drop(manifest):
+        for key in keys[:-1]:
+            manifest = manifest[key]
+        del manifest[keys[-1]]
+    _edit_manifest(container, drop)
 
 
 def _one_line_error(capsys, prefix, key):
@@ -326,13 +335,36 @@ def test_resume_checkpoint_manifest_missing_key_is_one_line_error(tmp_path,
     _one_line_error(capsys, "error:", "nets")
 
 
+def test_resume_checkpoint_without_loss_weight_is_refused(tmp_path, capsys):
+    # a checkpoint that does not record alpha cannot show it matches the run
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    _drop_manifest_key(run / "checkpoint_ae", "hyper", "alpha")
+    capsys.readouterr()
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(run), "--k", "4", "--max-epochs", "2",
+                    "--seed", "0", "--alpha", "0.05", "--resume"])
+    assert code == 1
+    _one_line_error(capsys, "error:", "alpha")
+
+
+def test_encode_unknown_variant_is_one_line_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    _edit_manifest(run / "checkpoint_hash",
+                   lambda m: m["hyper"].update(variant="bogus"))
+    capsys.readouterr()
+    code = run_cli(["encode", "--checkpoint", str(run / "checkpoint_hash"),
+                    "--dataset", str(data / "dataset"), "--modality", "x",
+                    "--out", str(tmp_path / "e")])
+    assert code == 1
+    _one_line_error(capsys, "error:", "bogus")
+
+
 def test_checkpoint_missing_net_is_one_line_error(tmp_path, capsys):
     data = _gen(tmp_path)
     run = _train(tmp_path, data)
-    path = run / "checkpoint_hash" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    del manifest["nets"]["icae.dec_y"]
-    path.write_text(json.dumps(manifest))
+    _drop_manifest_key(run / "checkpoint_hash", "nets", "icae.dec_y")
     capsys.readouterr()
     code = run_cli(["encode", "--checkpoint", str(run / "checkpoint_hash"),
                     "--dataset", str(data / "dataset"), "--modality", "x",
@@ -370,7 +402,7 @@ def test_eval_codes_manifest_missing_key_is_one_line_error(tmp_path, capsys):
     run = _train(tmp_path, data)
     qx = _encode(tmp_path, data, run, "x", "query", "e1")
     by = _encode(tmp_path, data, run, "y", "base", "e2")
-    _drop_manifest_key(by, "shape")
+    _drop_manifest_key(by, "arrays", "codes", "shape")
     capsys.readouterr()
     code = run_cli(["eval", "--query-codes", str(qx), "--base-codes", str(by),
                     "--dataset", str(data / "dataset"),

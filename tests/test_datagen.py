@@ -170,8 +170,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         datagen.LongTailSpec(c=4, z1=10, mu=1.0, exclusive_tail_fraction=1.5)
     with pytest.raises(ValueError):
-        datagen.LongTailSpec(c=4, z1=10, mu=1.0, exclusive_signal_scale=0.0)
-    with pytest.raises(ValueError):
         datagen.LongTailSpec(c=4, z1=10, mu=1.0, secondary_label_prob=-0.1)
 
 

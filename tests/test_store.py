@@ -92,6 +92,33 @@ def test_codes_container_roundtrip(tmp_path):
     assert info["modality"] == "x"
 
 
+@pytest.mark.parametrize("stored, claimed", [((8, 40), [8, 48]),
+                                             ((8, 370), [16, 370])],
+                         ids=["wider", "taller"])
+def test_codes_shape_mismatch_refused(tmp_path, stored, claimed):
+    # a manifest shape that does not fit codes.bin's length is refused,
+    # whatever the CRC-32 says
+    rng = np.random.default_rng(4)
+    B = np.where(rng.random(stored) < 0.5, 1.0, -1.0)
+    store.save_codes(tmp_path / "c", B)
+    mpath = tmp_path / "c" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["arrays"]["codes"]["shape"] = claimed
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(store.TruncatedFileError):
+        store.load_codes(tmp_path / "c")
+
+
+def test_codes_unknown_dtype_refused(tmp_path):
+    store.save_codes(tmp_path / "c", np.ones((4, 9)))
+    mpath = tmp_path / "c" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["arrays"]["codes"]["dtype"] = "int4"
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(store.StoreError, match="unknown dtype 'int4'"):
+        store.load_codes(tmp_path / "c")
+
+
 def test_codes_corruption_detected(tmp_path):
     B = np.ones((4, 9))
     store.save_codes(tmp_path / "c", B)
@@ -115,8 +142,8 @@ def _trained(seed=0):
 def test_checkpoint_roundtrip_forward_bit_identical(tmp_path):
     ds, model = _trained()
     store.save_checkpoint(tmp_path / "ck", "hash", model.icae, model.side,
-                          hyper={"k": 4}, epoch=2, seed=0,
-                          loss_trace=model.loss2_trace, B=model.B)
+                          hyper={"k": 4}, loss_trace=model.loss2_trace,
+                          B=model.B)
     ckpt = store.load_checkpoint(tmp_path / "ck")
     assert ckpt.phase == "hash"
     assert ckpt.loss_trace == model.loss2_trace
@@ -138,15 +165,16 @@ def test_checkpoint_roundtrip_forward_bit_identical(tmp_path):
                                                       mem.out_scale)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_checkpoint_old_version_refused(tmp_path, version):
     # version-1 checkpoints lack the label memories and hold uncentred
     # individuality scales; version-2 checkpoints hold direct-feature maps
-    # that the current autoencoder no longer has
+    # that the current autoencoder no longer has; version-3 checkpoints keep
+    # B outside the manifest's arrays and take unrecorded loss weights as
+    # 0.05
     _, model = _trained(2)
     store.save_checkpoint(tmp_path / "ck", "hash", model.icae, model.side,
-                          hyper={}, epoch=1, seed=2, loss_trace=[1.0],
-                          B=model.B)
+                          hyper={}, loss_trace=[1.0], B=model.B)
     mpath = tmp_path / "ck" / "manifest.json"
     manifest = json.loads(mpath.read_text())
     manifest["format_version"] = version
@@ -158,7 +186,7 @@ def test_checkpoint_old_version_refused(tmp_path, version):
 def test_checkpoint_phase_mismatch(tmp_path):
     _, model = _trained(1)
     store.save_checkpoint(tmp_path / "ck", "ae", model.icae, model.side,
-                          hyper={}, epoch=1, seed=1, loss_trace=[1.0])
+                          hyper={}, loss_trace=[1.0])
     with pytest.raises(store.PhaseMismatchError):
         store.load_checkpoint(tmp_path / "ck", expect_phase="hash")
 
@@ -167,14 +195,13 @@ def test_checkpoint_rejects_bad_phase(tmp_path):
     _, model = _trained(2)
     with pytest.raises(ValueError):
         store.save_checkpoint(tmp_path / "ck", "warmup", model.icae,
-                              model.side, hyper={}, epoch=0, seed=0,
-                              loss_trace=[])
+                              model.side, hyper={}, loss_trace=[])
 
 
 def test_checkpoint_corrupted_weights_detected(tmp_path):
     _, model = _trained(3)
     store.save_checkpoint(tmp_path / "ck", "hash", model.icae, model.side,
-                          hyper={}, epoch=1, seed=3, loss_trace=[])
+                          hyper={}, loss_trace=[])
     target = tmp_path / "ck" / "icae.enc_common.l0.weight.bin"
     data = bytearray(target.read_bytes())
     data[4] ^= 0xFF
