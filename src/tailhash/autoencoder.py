@@ -11,8 +11,9 @@ where J1 is the label-affinity Laplacian regularizer on commonality
 prototypes, J2 the HSIC between the two individuality codes and J3 the
 normalized reconstruction error.
 
-After training, the codes are standardized over the base split and each
-modality's individuality code gets a label memory: the labels that only
+After training, each modality's codes are calibrated over the base split
+(one Calibration record per modality): they are standardized, and the
+individuality code gets a label memory: the labels that only
 that modality's individuality expresses (the modality-exclusive tail labels
 the commonality cannot carry) are recalled from per-label prototypes, so
 the hash side receives them as a clean, label-consistent feature.
@@ -33,21 +34,33 @@ if TYPE_CHECKING:
 
 
 @dataclass
+class Calibration:
+    """What the hash side needs of one modality's frozen codes, measured
+    once after phase 1 over the base split (see calibrate)."""
+    # the individuality code is centred and scaled per dimension, so that
+    # it enters the label memory at unit scale
+    ind_mean: np.ndarray      # (k,)
+    ind_scale: np.ndarray     # (k,) RMS about ind_mean
+    # per-dimension RMS of the commonality code with the other modality
+    # zeroed; the raw output can be orders of magnitude smaller than the
+    # direct features it is fused with
+    common_scale: np.ndarray  # (k,)
+    # label memory of the standardized individuality code (see recall)
+    prototypes: np.ndarray    # (c, k) additive per-label code components
+    weights: np.ndarray       # (c,) exclusivity of each label to this side
+    dist_scale: float         # mean nearest-prototype squared distance
+    out_scale: float          # RMS of the raw recall over the base split
+
+
+@dataclass
 class IcaeParams:
     enc_ind_x: nn.Mlp      # raw_dim_x -> k
     enc_ind_y: nn.Mlp      # raw_dim_y -> k
     enc_common: nn.Mlp     # raw_dim_x + raw_dim_y -> k
     dec_x: nn.Mlp          # 2k -> raw_dim_x
     dec_y: nn.Mlp          # 2k -> raw_dim_y
-    # per-dimension RMS of each code stream over the base split, measured
-    # once after phase 1; downstream consumers divide by these so the code
-    # terms enter the meta fusion at unit scale (the raw commonality output
-    # can be orders of magnitude smaller than the direct features); the
-    # individuality streams are also centred ("px_mean" / "py_mean")
-    code_scales: Optional[dict[str, np.ndarray]] = None
-    # per-modality label memory of the individuality code, built after
-    # phase 1 from the base split (see build_memory)
-    memory: Optional[dict[str, "LabelMemory"]] = None
+    # per-modality ("x", "y") calibration, set by calibrate after phase 1
+    calibration: Optional[dict[str, Calibration]] = None
 
     @property
     def k(self) -> int:
@@ -104,48 +117,47 @@ def encode(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray) -> Codes:
 
 
 SCALE_FLOOR = 1e-8
-
-
-def calibrate_code_scales(params: IcaeParams, Xb: np.ndarray,
-                          Yb: np.ndarray, Lb: np.ndarray) -> None:
-    """Measure per-dimension code statistics over the base split; store them,
-    then build the label memories (build_memory) from the base labels Lb.
-
-    The individuality codes are centred ("px_mean" / "py_mean") and scaled
-    by the RMS about that mean: an off-centre code would enter every hash
-    bit as a bias, which the phase-2 bit-balance term then works against.
-    "cx" / "cy" are the commonality scales when only that modality is
-    present, the query-time regime that hash_codes encodes.
-    """
-    rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)), SCALE_FLOOR)
-    both = encode(params, Xb, Yb)
-
-    def common_rms(drop):
-        # a single-modality pass only needs the commonality code
-        Cs, _ = nn.forward(params.enc_common, _common_input(Xb, Yb, drop))
-        return rms(Cs.T)
-
-    px_mean, py_mean = both.Px.mean(axis=0), both.Py.mean(axis=0)
-    px, py = rms(both.Px - px_mean), rms(both.Py - py_mean)
-    params.code_scales = {"px_mean": px_mean, "py_mean": py_mean,
-                          "px": px, "py": py,
-                          "cx": common_rms("y"), "cy": common_rms("x")}
-    params.memory = build_memory((both.Px - px_mean) / px,
-                                 (both.Py - py_mean) / py, Lb)
-
-
 # sharpness of the memory's label attention, relative to the mean squared
 # distance of a base sample to its nearest prototype
 MEMORY_TEMPERATURE = 0.25
 
 
-@dataclass
-class LabelMemory:
-    """Label memory of one modality's standardized individuality code."""
-    prototypes: np.ndarray    # (c, k) additive per-label code components
-    weights: np.ndarray       # (c,) exclusivity of each label to this side
-    dist_scale: float         # mean nearest-prototype squared distance
-    out_scale: float          # RMS of the raw recall over the base split
+def raw_codes(params: IcaeParams, modality: str, raw: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled commonality and individuality codes of one modality, (n, k)
+    each.
+
+    The commonality encoder sees the other modality's block as zeros; only
+    it and this modality's individuality encoder run.
+    """
+    if modality not in ("x", "y"):
+        raise ValueError("modality must be 'x' or 'y'")
+    d_x = params.enc_ind_x.in_dim
+    own, block = ((params.enc_ind_x, slice(0, d_x)) if modality == "x"
+                  else (params.enc_ind_y, slice(d_x, None)))
+    raw_t = np.asarray(raw, dtype=np.float64).T
+    # [0]: each forward's tape is dropped before the next pass starts
+    P = nn.forward(own, raw_t)[0]
+    common_in = np.zeros((params.enc_common.in_dim, raw_t.shape[1]))
+    common_in[block] = raw_t
+    Cs = nn.forward(params.enc_common, common_in)[0]
+    return Cs.T, P.T
+
+
+def hash_codes(params: IcaeParams, modality: str, raw: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Codes one modality contributes to its meta features, (n, k) each.
+
+    Returns the scaled commonality code (raw_codes) and the label-memory
+    recall of the standardized individuality code. Training and query
+    encoding both call this, so a sample gets the same codes in either role.
+    """
+    if params.calibration is None:
+        raise ValueError("calibrate the autoencoder before hashing")
+    C, P = raw_codes(params, modality, raw)
+    cal = params.calibration[modality]
+    P = (P - cal.ind_mean) / cal.ind_scale
+    return C / cal.common_scale, recall(cal, P)
 
 
 def _sq_dists(P: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -154,75 +166,59 @@ def _sq_dists(P: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
             + np.sum(prototypes ** 2, axis=1)[None, :])
 
 
-def recall(memory: LabelMemory, P: np.ndarray) -> np.ndarray:
+def recall(cal: Calibration, P: np.ndarray) -> np.ndarray:
     """Memory feature of (n, k) standardized individuality codes, (n, k).
 
     Each row attends over the label prototypes (a softmax of negative
     squared distances) and returns their exclusivity-weighted mix, at unit
     RMS over the base split.
     """
-    d2 = _sq_dists(np.asarray(P, dtype=np.float64), memory.prototypes)
+    d2 = _sq_dists(np.asarray(P, dtype=np.float64), cal.prototypes)
     d2 -= d2.min(axis=1, keepdims=True)
-    o = np.exp(-d2 / (MEMORY_TEMPERATURE * memory.dist_scale))
+    o = np.exp(-d2 / (MEMORY_TEMPERATURE * cal.dist_scale))
     o /= o.sum(axis=1, keepdims=True)
-    return (o * memory.weights) @ memory.prototypes / memory.out_scale
+    return (o * cal.weights) @ cal.prototypes / cal.out_scale
 
 
-def build_memory(Px: np.ndarray, Py: np.ndarray, Lb: np.ndarray
-                 ) -> dict[str, LabelMemory]:
-    """Each modality's label memory, from the standardized (n, k)
-    individuality codes Px, Py of the base split and its labels Lb.
+def calibrate(params: IcaeParams, Xb: np.ndarray, Yb: np.ndarray,
+              Lb: np.ndarray) -> None:
+    """Measure each modality's Calibration over the base split, from the
+    same pass hash_codes runs, and store them on params.
 
-    Prototypes are the least-squares per-label components of the
-    standardized individuality code (P ~ L @ prototypes). A label's weight
-    on side v is how far its prototype energy on v exceeds the other side's,
-    (|p_v|^2 - |p_u|^2) / (|p_v|^2 + |p_u|^2) clipped to [0, 1]: a label
-    whose signal only one modality's individuality carries (a
-    modality-exclusive tail label) has weight near 1 there, while labels
-    both modalities express, which the commonality and the direct features
-    already serve, are left out of the memory.
+    The individuality codes are centred and scaled by the RMS about their
+    mean: an off-centre code would enter every hash bit as a bias, which
+    the phase-2 bit-balance term then works against.
+
+    The label memory's prototypes are the least-squares per-label
+    components of the standardized individuality code (P ~ Lb @
+    prototypes). A label's weight on side v is how far its prototype energy
+    on v exceeds the other side's, (|p_v|^2 - |p_u|^2) / (|p_v|^2 +
+    |p_u|^2) clipped to [0, 1]: a label whose signal only one modality's
+    individuality carries (a modality-exclusive tail label) has weight near
+    1 there, while labels both modalities express, which the commonality
+    and the direct features already serve, are left out of the memory.
     """
+    rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)), SCALE_FLOOR)
     Lf = np.asarray(Lb, dtype=np.float64)
-    P = {"x": np.asarray(Px, dtype=np.float64),
-         "y": np.asarray(Py, dtype=np.float64)}
-    protos = {v: np.linalg.lstsq(Lf, P[v], rcond=None)[0] for v in P}
-    energy = {v: np.sum(protos[v] ** 2, axis=1) for v in P}
-    memory = {}
+    scales, P, protos, energy = {}, {}, {}, {}
+    for v, raw in (("x", Xb), ("y", Yb)):
+        C, Pv = raw_codes(params, v, raw)
+        mean = Pv.mean(axis=0)
+        scale = rms(Pv - mean)
+        scales[v] = (mean, scale, rms(C))
+        P[v] = (Pv - mean) / scale
+        protos[v] = np.linalg.lstsq(Lf, P[v], rcond=None)[0]
+        energy[v] = np.sum(protos[v] ** 2, axis=1)
+    params.calibration = {}
     for v, u in (("x", "y"), ("y", "x")):
         total = np.maximum(energy[v] + energy[u], SCALE_FLOOR)
         weights = np.clip((energy[v] - energy[u]) / total, 0.0, 1.0)
         d2 = _sq_dists(P[v], protos[v])
         dist_scale = max(float(np.mean(d2.min(axis=1))), SCALE_FLOOR)
-        mem = LabelMemory(protos[v], weights, dist_scale, 1.0)
-        raw = recall(mem, P[v])
-        mem.out_scale = max(float(np.sqrt(np.mean(raw ** 2))), SCALE_FLOOR)
-        memory[v] = mem
-    return memory
-
-
-def hash_codes(params: IcaeParams, modality: str, raw: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Codes one modality contributes to its meta features, (n, k) each.
-
-    Returns the commonality code with the other modality zero-imputed and
-    the individuality memory feature. Only the commonality encoder and this
-    modality's individuality encoder run. Training and query encoding both
-    call this, so a sample gets the same codes in either role.
-    """
-    if modality not in ("x", "y"):
-        raise ValueError("modality must be 'x' or 'y'")
-    if params.memory is None:
-        raise ValueError("build the label memory before hashing")
-    own, other = ((params.enc_ind_x, params.enc_ind_y) if modality == "x"
-                  else (params.enc_ind_y, params.enc_ind_x))
-    raw_t = np.asarray(raw, dtype=np.float64).T
-    P, _ = nn.forward(own, raw_t)
-    zeros = np.zeros((other.in_dim, raw_t.shape[1]))
-    Cs, _ = nn.forward(params.enc_common, np.vstack(
-        [raw_t, zeros] if modality == "x" else [zeros, raw_t]))
-    s = params.code_scales
-    P = (P.T - s[f"p{modality}_mean"]) / s[f"p{modality}"]
-    return Cs.T / s[f"c{modality}"], recall(params.memory[modality], P)
+        cal = Calibration(*scales[v], protos[v], weights, dist_scale, 1.0)
+        cal.out_scale = max(float(np.sqrt(np.mean(recall(cal, P[v]) ** 2))),
+                            SCALE_FLOOR)
+        params.calibration[v] = cal
 
 
 def reconstruction_loss(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray,
@@ -316,8 +312,8 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     The autoencoder reads the raw features of both modalities; with
     probability 1/2 per batch one modality's block of the commonality-encoder
     input is zeroed so that single-modality query encoding stays well
-    defined. After the last epoch the code scales are calibrated and the
-    label memories built over the base split. Reads alpha, beta,
+    defined. After the last epoch each modality's codes are calibrated over
+    the base split (calibrate). Reads alpha, beta,
     batch_size, lr_ae, max_epochs and seed from cfg.
     """
     Xb, Yb, Lb = dataset.base()
@@ -348,5 +344,5 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
                 nn.sgd_step(net, grads[name], cfg.lr_ae)
             epoch_losses.append(value)
         trace.append(float(np.mean(epoch_losses)))
-    calibrate_code_scales(params, Xb, Yb, Lb)
+    calibrate(params, Xb, Yb, Lb)
     return params, trace

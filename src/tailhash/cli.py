@@ -126,11 +126,11 @@ def _dataset_fingerprint(dataset: datagen.Dataset) -> dict[str, int]:
 def _check_resumable(path: Path, ckpt: store.Checkpoint,
                      cfg: experiment.RunConfig,
                      dataset: datagen.Dataset) -> None:
-    """Reject a phase-1 checkpoint whose shapes, loss weights or training
-    data do not fit this run. A key missing from the checkpoint's record
-    raises StoreError."""
+    """Reject a phase-1 checkpoint whose shapes, phase-1 settings (loss
+    weights, step) or training data do not fit this run. A key missing from
+    the checkpoint's record raises StoreError."""
     checks = [(name, ckpt.hyper[name], getattr(cfg, name))
-              for name in ("k", "alpha", "beta")]
+              for name in ("k", "alpha", "beta", "lr_ae")]
     checks += [("raw_dim_x", ckpt.icae.enc_ind_x.in_dim,
                 dataset.Fx_raw.shape[1]),
                ("raw_dim_y", ckpt.icae.enc_ind_y.in_dim,
@@ -217,6 +217,13 @@ def cmd_eval(args) -> int:
         raise CliError(str(e))
     _, _, Lb = dataset.base()
     _, _, Lq = dataset.query()
+    for path, codes, split, labels in (
+            (args.query_codes, q_codes, "query", Lq),
+            (args.base_codes, b_codes, "base", Lb)):
+        if codes.shape[1] != labels.shape[0]:
+            raise CliError(f"{path}: {codes.shape[1]} codes, but the "
+                           f"dataset's {split} split has {labels.shape[0]} "
+                           f"items")
     counts = dataset.meta.get("label_counts", Lb.sum(axis=0))
     head = args.head_count if args.head_count else dataset.c // 2
     report = retrieval.evaluate(args.direction, q_codes, Lq, b_codes, Lb,

@@ -60,13 +60,10 @@ def init_params(dataset: Dataset, cfg: RunConfig
     return icae, side
 
 
-def train_phase1(dataset: Dataset, cfg: RunConfig,
-                 icae: Optional[autoencoder.IcaeParams] = None,
-                 side: Optional[meta.HashSideParams] = None
+def train_phase1(dataset: Dataset, cfg: RunConfig
                  ) -> tuple[autoencoder.IcaeParams, meta.HashSideParams,
                             list[float]]:
-    if icae is None or side is None:
-        icae, side = init_params(dataset, cfg)
+    icae, side = init_params(dataset, cfg)
     icae, trace = autoencoder.train_ae(dataset, icae, cfg)
     return icae, side, trace
 

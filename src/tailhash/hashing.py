@@ -31,6 +31,8 @@ class Variant:
     use_meta_y: bool = True     # False: M^y := F^y
 
     def flags(self, modality: str) -> tuple[bool, bool]:
+        """Whether this modality keeps its (commonality, individuality)
+        term; modality_codes zeroes a dropped one."""
         use_meta = self.use_meta_x if modality == "x" else self.use_meta_y
         return (self.use_common and use_meta,
                 self.use_individual and use_meta)
@@ -101,28 +103,25 @@ def update_B(Mx: np.ndarray, My: np.ndarray) -> np.ndarray:
 ModalityCodes = tuple[np.ndarray, np.ndarray]
 
 
-def base_code_sets(icae: autoencoder.IcaeParams, Xb: np.ndarray,
-                   Yb: np.ndarray) -> tuple[ModalityCodes, ModalityCodes]:
-    """Per-modality autoencoder codes of the base split.
+def modality_codes(icae: autoencoder.IcaeParams, modality: str,
+                   raw: np.ndarray, variant: Variant) -> ModalityCodes:
+    """The autoencoder codes one modality's meta features receive
+    (autoencoder.hash_codes), with the terms the variant drops set to zero.
 
-    Each modality's meta features are enriched only with codes that its
-    hash function reproduces at query time (autoencoder.hash_codes), so the
-    codes a sample receives during training and as a query are identical.
+    Training and query encoding both call this, so the codes a sample
+    receives in either role are identical.
     """
-    return (autoencoder.hash_codes(icae, "x", Xb),
-            autoencoder.hash_codes(icae, "y", Yb))
+    codes = autoencoder.hash_codes(icae, modality, raw)
+    return tuple(c if keep else np.zeros_like(c)
+                 for c, keep in zip(codes, variant.flags(modality)))
 
 
 def _modality_pass(side: meta.HashSideParams, X: np.ndarray, Y: np.ndarray,
-                   codes_x: ModalityCodes, codes_y: ModalityCodes,
-                   variant: Variant
+                   codes: tuple[ModalityCodes, ModalityCodes]
                    ) -> tuple[meta.MetaForward, meta.MetaForward]:
     """Forward both modalities with precomputed (constant) autoencoder codes."""
-    cx, ix = variant.flags("x")
-    cy, iy = variant.flags("y")
-    fwd_x = meta.meta_forward(side.x, X, *codes_x, cx, ix)
-    fwd_y = meta.meta_forward(side.y, Y, *codes_y, cy, iy)
-    return fwd_x, fwd_y
+    return (meta.meta_forward(side.x, X, *codes[0]),
+            meta.meta_forward(side.y, Y, *codes[1]))
 
 
 def full_base_codes(dataset: Dataset, icae: autoencoder.IcaeParams,
@@ -130,11 +129,14 @@ def full_base_codes(dataset: Dataset, icae: autoencoder.IcaeParams,
                     variant: Variant = VARIANTS["full"],
                     codes: tuple[ModalityCodes, ModalityCodes] | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Mx, My, B) over the whole base split with the current parameters."""
+    """(Mx, My, B) over the whole base split with the current parameters;
+    codes are the variant's modality_codes of the base split, computed here
+    when not given."""
     Xb, Yb, _ = dataset.base()
     if codes is None:
-        codes = base_code_sets(icae, Xb, Yb)
-    fwd_x, fwd_y = _modality_pass(side, Xb, Yb, codes[0], codes[1], variant)
+        codes = (modality_codes(icae, "x", Xb, variant),
+                 modality_codes(icae, "y", Yb, variant))
+    fwd_x, fwd_y = _modality_pass(side, Xb, Yb, codes)
     return fwd_x.M, fwd_y.M, update_B(fwd_x.M, fwd_y.M)
 
 
@@ -167,10 +169,8 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
 
     # the autoencoder is frozen, so every sample's codes are constant
     # through phase 2; compute them once
-    base_codes = base_code_sets(icae, Xb, Yb)
-
-    def batch_codes(idx):
-        return tuple((C[idx], I[idx]) for C, I in base_codes)
+    base_codes = (modality_codes(icae, "x", Xb, variant),
+                  modality_codes(icae, "y", Yb, variant))
 
     _, _, B = full_base_codes(dataset, icae, side, variant, codes=base_codes)
     trace: list[float] = []
@@ -180,10 +180,9 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
             idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
             S = affinity.pair_similarity(Lb[idx]).astype(np.float64)
             B_batch = B[:, idx]
-            codes = batch_codes(idx)
+            codes = tuple((C[idx], I[idx]) for C, I in base_codes)
 
-            fwd_x, fwd_y = _modality_pass(side, Xb[idx], Yb[idx], codes[0],
-                                          codes[1], variant)
+            fwd_x, fwd_y = _modality_pass(side, Xb[idx], Yb[idx], codes)
             value, _ = loss2(fwd_x.M, fwd_y.M, S, B_batch, gamma, eta)
             batch_losses.append(value)
 
@@ -196,8 +195,7 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
 
             # image side moved: re-run its forward before the text-side step;
             # the text side has not moved, so its forward is still current
-            fwd_x2 = meta.meta_forward(side.x, Xb[idx], *codes[0],
-                                       *variant.flags("x"))
+            fwd_x2 = meta.meta_forward(side.x, Xb[idx], *codes[0])
             gy = grad_meta(fwd_y.M, fwd_x2.M, S.T, B_batch, gamma,
                            eta) / nb ** 2
             _step_side(side.y, fwd_y, gy, cfg.lr_feat)

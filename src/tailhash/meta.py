@@ -73,23 +73,19 @@ def init_side_params(raw_dim_x: int, raw_dim_y: int, k: int,
 
 
 def meta_features(F: np.ndarray, Cstar: np.ndarray, Iv: np.ndarray,
-                  E1: np.ndarray, use_common: bool = True,
-                  use_individual: bool = True) -> np.ndarray:
+                  E1: np.ndarray) -> np.ndarray:
     """Fuse (n, k) inputs into (k, n) meta features F + E1*C + w*I.
 
-    Iv is the individuality memory feature of the modality. The use_*
-    switches implement the ablations that drop the commonality and/or
-    individuality term (bit-exactly equal to zeroing that term).
+    Iv is the individuality memory feature of the modality. An ablation
+    drops a term by passing it as zeros (hashing.modality_codes).
     """
     F = np.asarray(F, dtype=np.float64)
     for name, arr in (("Cstar", Cstar), ("Iv", Iv), ("E1", E1)):
         if np.shape(arr) != F.shape:
             raise ValueError(f"{name} shape {np.shape(arr)} != F shape {F.shape}")
     M = F.copy()
-    if use_common:
-        M += np.asarray(E1) * np.asarray(Cstar)
-    if use_individual:
-        M += MEMORY_WEIGHT * np.asarray(Iv)
+    M += np.asarray(E1) * np.asarray(Cstar)
+    M += MEMORY_WEIGHT * np.asarray(Iv)
     return M.T
 
 
@@ -103,13 +99,10 @@ class MetaForward:
     sel1_tape: list
     Cstar: np.ndarray             # (n, k), treated as constant inputs
     Iv: np.ndarray
-    use_common: bool
-    use_individual: bool
 
 
 def meta_forward(side: ModalitySide, raw: np.ndarray, Cstar: np.ndarray,
-                 Iv: np.ndarray, use_common: bool = True,
-                 use_individual: bool = True) -> MetaForward:
+                 Iv: np.ndarray) -> MetaForward:
     """Forward pass through projector, selector and fusion, keeping tapes.
 
     The one meta-feature path: phase-2 training and query encoding
@@ -118,12 +111,10 @@ def meta_forward(side: ModalitySide, raw: np.ndarray, Cstar: np.ndarray,
     raw_t = np.asarray(raw, dtype=np.float64).T
     F_cols, proj_tape = nn.forward(side.projector, raw_t)
     e1_cols, sel1_tape = nn.forward(side.selector1, F_cols)
-    M = meta_features(F_cols.T, Cstar, Iv, e1_cols.T, use_common,
-                      use_individual)
+    M = meta_features(F_cols.T, Cstar, Iv, e1_cols.T)
     return MetaForward(F_cols.T, e1_cols.T, M, proj_tape, sel1_tape,
                        np.asarray(Cstar, dtype=np.float64),
-                       np.asarray(Iv, dtype=np.float64),
-                       use_common, use_individual)
+                       np.asarray(Iv, dtype=np.float64))
 
 
 def meta_backward(side: ModalitySide, fwd: MetaForward, dM: np.ndarray) -> dict:
@@ -131,15 +122,13 @@ def meta_backward(side: ModalitySide, fwd: MetaForward, dM: np.ndarray) -> dict:
 
     The commonality code and the memory feature are constants (frozen
     encoders), so gradient reaches the parameters only through F and the
-    selector.
+    selector; a zeroed commonality code gives the selector zero gradient.
     """
     dM_rows = np.asarray(dM, dtype=np.float64).T        # (n, k)
     dF = dM_rows.copy()
-    sel1_grads = nn.zero_grads(side.selector1)
-    if fwd.use_common:
-        dE1 = dM_rows * fwd.Cstar
-        sel1_grads, dF_sel1 = nn.backward(side.selector1, fwd.sel1_tape, dE1.T)
-        dF += dF_sel1.T
+    dE1 = dM_rows * fwd.Cstar
+    sel1_grads, dF_sel1 = nn.backward(side.selector1, fwd.sel1_tape, dE1.T)
+    dF += dF_sel1.T
     proj_grads, _ = nn.backward(side.projector, fwd.proj_tape, dF.T,
                                 input_grad=False)
     return {"projector": proj_grads, "selector1": sel1_grads}

@@ -28,17 +28,14 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function."""
+    z = np.asarray(z, dtype=np.float64)
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with one
     # exponential of -|z|: never exponentiates a large positive argument.
     # minimum(z, -z) rather than -abs(z) keeps a NaN's sign bit
     e = np.exp(np.minimum(z, -z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    return _sigmoid(np.asarray(z, dtype=np.float64))
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -51,8 +48,6 @@ def softplus(z: np.ndarray) -> np.ndarray:
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-    "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(z.dtype)),
 }
 
 
@@ -106,15 +101,12 @@ def init_dense(in_dim: int, out_dim: int, activation: str,
     return DenseLayer(w, np.zeros(out_dim), activation)
 
 
-def init_mlp(dims: Sequence[int], rng: np.random.Generator,
-             hidden_activation: str = "tanh",
-             output_activation: str = "identity") -> Mlp:
-    """Fully connected net over the dimension chain ``dims``."""
-    layers = []
-    for i, (din, dout) in enumerate(zip(dims, dims[1:])):
-        act = output_activation if i == len(dims) - 2 else hidden_activation
-        layers.append(init_dense(din, dout, act, rng))
-    return Mlp(layers)
+def init_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
+    """Fully connected net over the dimension chain ``dims``: tanh hidden
+    layers and an identity output layer."""
+    acts = ["tanh"] * (len(dims) - 2) + ["identity"]
+    return Mlp([init_dense(din, dout, act, rng)
+                for din, dout, act in zip(dims, dims[1:], acts)])
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -162,11 +154,6 @@ def backward(mlp: Mlp, tape: list, upstream: np.ndarray,
         if i or input_grad:
             da = layer.weight.T @ dz
     return grads, da if input_grad else None
-
-
-def zero_grads(mlp: Mlp) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(np.zeros_like(l.weight), np.zeros_like(l.bias))
-            for l in mlp.layers]
 
 
 def sgd_step(mlp: Mlp, grads: list, learning_rate: float) -> Mlp:

@@ -45,14 +45,15 @@ def encode_query(modality: str, raw: np.ndarray,
 
     The commonality encoder sees the other modality's block zero-imputed,
     matching the modality-dropout regime it was trained under; the
-    individuality enters as its label-memory feature. The meta features come
-    from the same forward pass training runs (meta.meta_forward).
+    individuality enters as its label-memory feature. The codes and the meta
+    features come from the same calls training makes
+    (hashing.modality_codes, meta.meta_forward).
     """
     if modality not in ("x", "y"):
         raise ValueError("modality must be 'x' or 'y'")
     side_v = side.x if modality == "x" else side.y
-    codes = autoencoder.hash_codes(icae, modality, raw)
-    M = meta.meta_forward(side_v, raw, *codes, *variant.flags(modality)).M
+    codes = hashing.modality_codes(icae, modality, raw, variant)
+    M = meta.meta_forward(side_v, raw, *codes).M
     return np.where(M >= 0.0, 1.0, -1.0)
 
 
@@ -105,6 +106,11 @@ def _score(query_codes, query_labels, base_codes, base_labels,
     Lq = np.asarray(query_labels, dtype=np.float64)
     LbT = np.asarray(base_labels, dtype=np.float64).T
     nq, nb = dist.shape
+    for what, n, rows in (("query", nq, Lq.shape[0]),
+                          ("base", nb, LbT.shape[1])):
+        if n != rows:
+            raise ValueError(f"{what} codes have {n} columns but {what} "
+                             f"labels have {rows} rows")
     limit = nb if topR is None else min(topR, nb)
     aps = np.full(nq, np.nan)
     valid = np.zeros(nq, dtype=bool)

@@ -8,12 +8,13 @@ per cell (0/1) for label matrices, packed bits for hash codes (-1 stored as
 all of them on load. All formats share one ``format_version``, and a
 container of any other version is refused.
 
-Version 4 checkpoints hold the five autoencoder nets, the centred
-individuality and single-modality commonality code scales, the
-per-modality label memories, a single (commonality) selector per modality
-and, after phase 2, the unified codes B. Their ``hyper`` is the caller's
-record of the run (the CLI writes the whole run configuration plus the
-dataset fingerprint or the variant); this module does not interpret it.
+Version 5 checkpoints hold the five autoencoder nets, each modality's
+calibration record (``icae.<modality>.<field>``: the individuality centring
+and scale, the commonality scale and the label memory), a single
+(commonality) selector per modality and, after phase 2, the unified codes
+B. Their ``hyper`` is the caller's record of the run (the CLI writes the
+whole run configuration plus the dataset fingerprint or the variant); this
+module does not interpret it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import autoencoder, meta, nn
 from .datagen import Dataset
 from .retrieval import EvalReport
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 CSV_HEADER = ["direction", "variant", "map", "head_map", "tail_map",
               "head_tail_split_index", "n_queries", "n_excluded",
@@ -279,22 +280,19 @@ def save_checkpoint(path, phase: str, icae: autoencoder.IcaeParams,
                     B: Optional[np.ndarray] = None) -> None:
     if phase not in ("ae", "hash"):
         raise ValueError("phase must be 'ae' or 'hash'")
+    if icae.calibration is None:
+        raise ValueError("calibrate the autoencoder before saving it")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     arrays: dict = {}
     nets = {}
     for name, net in icae.nets().items():
         nets["icae." + name] = _save_net(root, "icae." + name, net, arrays)
-    if icae.code_scales is not None:
-        for name, arr in icae.code_scales.items():
-            key = "icae.code_scale." + name
-            arrays[key] = _write_array(root, key, np.asarray(arr))
-    if icae.memory is not None:
-        for mod, mem in icae.memory.items():
-            for field in dataclasses.fields(mem):
-                key = f"icae.memory.{mod}.{field.name}"
-                arrays[key] = _write_array(
-                    root, key, np.atleast_1d(getattr(mem, field.name)))
+    for mod, cal in icae.calibration.items():
+        for field in dataclasses.fields(cal):
+            key = f"icae.{mod}.{field.name}"
+            arrays[key] = _write_array(
+                root, key, np.atleast_1d(getattr(cal, field.name)))
     for mod in ("x", "y"):
         sv = getattr(side, mod)
         for part in ("projector", "selector1"):
@@ -313,12 +311,14 @@ def save_checkpoint(path, phase: str, icae: autoencoder.IcaeParams,
     })
 
 
-def _load_memory(root: Path, arrays: dict, mod: str) -> autoencoder.LabelMemory:
-    read = lambda name: _read_array(root, arrays[f"icae.memory.{mod}.{name}"])
-    return autoencoder.LabelMemory(
-        prototypes=read("prototypes"), weights=read("weights"),
-        dist_scale=float(read("dist_scale")[0]),
-        out_scale=float(read("out_scale")[0]))
+def _load_calibration(root: Path, arrays: dict, mod: str
+                      ) -> autoencoder.Calibration:
+    values = {}
+    for field in dataclasses.fields(autoencoder.Calibration):
+        arr = _read_array(root, arrays[f"icae.{mod}.{field.name}"])
+        # scalars are stored as one-element arrays
+        values[field.name] = float(arr[0]) if field.type == "float" else arr
+    return autoencoder.Calibration(**values)
 
 
 def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
@@ -331,18 +331,13 @@ def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
             f"{root}: phase {m['phase']!r}, expected {expect_phase!r}")
     # m["nets"] is a manifest object: a missing net raises StoreError
     net = lambda name: _load_net(root, name, m["nets"][name], m["arrays"])
+    # m["arrays"] is a manifest object too: a missing array raises StoreError
     icae = autoencoder.IcaeParams(
         enc_ind_x=net("icae.enc_ind_x"), enc_ind_y=net("icae.enc_ind_y"),
         enc_common=net("icae.enc_common"),
-        dec_x=net("icae.dec_x"), dec_y=net("icae.dec_y"))
-    prefix = "icae.code_scale."
-    scales = {key[len(prefix):]: _read_array(root, entry)
-              for key, entry in m["arrays"].items() if key.startswith(prefix)}
-    if scales:
-        icae.code_scales = scales
-    if "icae.memory.x.prototypes" in m["arrays"]:
-        icae.memory = {mod: _load_memory(root, m["arrays"], mod)
-                       for mod in ("x", "y")}
+        dec_x=net("icae.dec_x"), dec_y=net("icae.dec_y"),
+        calibration={mod: _load_calibration(root, m["arrays"], mod)
+                     for mod in ("x", "y")})
     side = meta.HashSideParams(
         x=meta.ModalitySide(net("side.x.projector"), net("side.x.selector1")),
         y=meta.ModalitySide(net("side.y.projector"), net("side.y.selector1")))

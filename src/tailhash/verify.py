@@ -35,7 +35,7 @@ def check_mlp_gradients(seed: int = 0, trials: int = 5, bug: bool = False):
     worst = 0.0
     for _ in range(trials):
         dims = [int(rng.integers(2, 5)) for _ in range(3)]
-        net = nn.init_mlp(dims, rng, hidden_activation="tanh")
+        net = nn.init_mlp(dims, rng)
         x = rng.standard_normal((dims[0], 4))
 
         def loss_at(vec):

@@ -206,7 +206,7 @@ def test_criterion_8_tail_benefit(pipeline_runs):
         f"them because the other modality has no signal for them. A gate "
         f"trained by that loss closes on them and the direct features cancel "
         f"what an open one adds, so they reach the hash codes only through "
-        f"the label memory's fixed-weight term (autoencoder.build_memory, "
+        f"the label memory's fixed-weight term (autoencoder.calibrate, "
         f"meta.MEMORY_WEIGHT). Check the memory weights of those labels and "
         f"the per-seed breakdown above.")
 

@@ -79,16 +79,20 @@ def test_encode_dropped_modality_zeroes_block():
         autoencoder.loss1(icae, Fx, Fy, L, aff, aff, 0.05, 0.05, drop="z")
 
 
-def test_code_scales_standardize_codes():
+def _standardized(cal, P):
+    return (P - cal.ind_mean) / cal.ind_scale
+
+
+def test_calibration_standardizes_codes():
     rng = np.random.default_rng(5)
     icae = _tiny_icae(rng)
     Xb = rng.standard_normal((40, 3))
     Yb = rng.standard_normal((40, 3))
-    autoencoder.calibrate_code_scales(icae, Xb, Yb, _labels(40, 2))
-    s = icae.code_scales
+    autoencoder.calibrate(icae, Xb, Yb, _labels(40, 2))
+    cal = icae.calibration
     codes = autoencoder.encode(icae, Xb, Yb)
-    Px = (codes.Px - s["px_mean"]) / s["px"]
-    Py = (codes.Py - s["py_mean"]) / s["py"]
+    Px = _standardized(cal["x"], codes.Px)
+    Py = _standardized(cal["y"], codes.Py)
     for arr in (Px, Py):
         np.testing.assert_allclose(np.sqrt(np.mean(arr ** 2, axis=0)), 1.0,
                                    atol=1e-10)
@@ -102,37 +106,32 @@ def test_code_scales_standardize_codes():
                                    atol=1e-10)
 
 
-def test_code_scales_match_full_single_modality_encodings():
-    # calibration encodes only the commonality for the single-modality
-    # passes; scales and memories equal those of full encodings bit for bit
+def test_calibration_matches_single_modality_encodings():
+    # calibration runs hash_codes' single-modality pass; its statistics
+    # equal those of full encodings with the other modality zeroed, bit
+    # for bit
     rng = np.random.default_rng(6)
     icae = _tiny_icae(rng, k=3)
     Xb = rng.standard_normal((50, 3))
     Yb = rng.standard_normal((50, 3))
     Lb = _labels(50, 4)
-    autoencoder.calibrate_code_scales(icae, Xb, Yb, Lb)
-    got_scales, got_memory = icae.code_scales, icae.memory
+    autoencoder.calibrate(icae, Xb, Yb, Lb)
 
     rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)),
                                autoencoder.SCALE_FLOOR)
-    both = autoencoder.encode(icae, Xb, Yb)
     only_x = autoencoder.encode(icae, Xb, np.zeros_like(Yb))
     only_y = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
-    px_mean, py_mean = both.Px.mean(axis=0), both.Py.mean(axis=0)
-    px, py = rms(both.Px - px_mean), rms(both.Py - py_mean)
-    want = {"px_mean": px_mean, "py_mean": py_mean, "px": px, "py": py,
-            "cx": rms(only_x.Cstar), "cy": rms(only_y.Cstar)}
-    assert got_scales.keys() == want.keys()
-    for name in want:
-        np.testing.assert_array_equal(got_scales[name], want[name])
-    want_memory = autoencoder.build_memory((both.Px - px_mean) / px,
-                                           (both.Py - py_mean) / py, Lb)
-    for mod in ("x", "y"):
-        got, exp = got_memory[mod], want_memory[mod]
-        np.testing.assert_array_equal(got.prototypes, exp.prototypes)
-        np.testing.assert_array_equal(got.weights, exp.weights)
-        assert got.dist_scale == exp.dist_scale
-        assert got.out_scale == exp.out_scale
+    for mod, P, C in (("x", only_x.Px, only_x.Cstar),
+                      ("y", only_y.Py, only_y.Cstar)):
+        cal = icae.calibration[mod]
+        mean = P.mean(axis=0)
+        np.testing.assert_array_equal(cal.ind_mean, mean)
+        np.testing.assert_array_equal(cal.ind_scale, rms(P - mean))
+        np.testing.assert_array_equal(cal.common_scale, rms(C))
+        np.testing.assert_array_equal(
+            cal.prototypes,
+            np.linalg.lstsq(Lb.astype(np.float64), _standardized(cal, P),
+                            rcond=None)[0])
 
 
 def test_recall_returns_weighted_nearest_prototype():
@@ -140,9 +139,10 @@ def test_recall_returns_weighted_nearest_prototype():
     # weights[a] * prototype[a], at the stored output scale
     protos = np.array([[3.0, 0.0], [0.0, 3.0], [-3.0, -3.0]])
     weights = np.array([1.0, 0.5, 0.0])
-    mem = autoencoder.LabelMemory(protos, weights, dist_scale=1.0,
-                                  out_scale=2.0)
-    out = autoencoder.recall(mem, protos)
+    cal = autoencoder.Calibration(
+        ind_mean=np.zeros(2), ind_scale=np.ones(2), common_scale=np.ones(2),
+        prototypes=protos, weights=weights, dist_scale=1.0, out_scale=2.0)
+    out = autoencoder.recall(cal, protos)
     np.testing.assert_allclose(out, weights[:, None] * protos / 2.0,
                                atol=1e-12)
 
@@ -153,19 +153,18 @@ def test_build_memory_weights_and_scale():
     Xb = rng.standard_normal((60, 3))
     Yb = rng.standard_normal((60, 3))
     Lb = _labels(60, 4)
-    autoencoder.calibrate_code_scales(icae, Xb, Yb, Lb)
-    mx, my = icae.memory["x"], icae.memory["y"]
+    autoencoder.calibrate(icae, Xb, Yb, Lb)
+    mx, my = icae.calibration["x"], icae.calibration["y"]
     assert mx.prototypes.shape == (4, 3)
-    for mem in (mx, my):
-        assert np.all((mem.weights >= 0.0) & (mem.weights <= 1.0))
+    for cal in (mx, my):
+        assert np.all((cal.weights >= 0.0) & (cal.weights <= 1.0))
     # a label is claimed by at most one modality's memory
     assert np.all(np.minimum(mx.weights, my.weights) == 0.0)
     # the recall of the standardized codes has unit RMS over the base split
-    s = icae.code_scales
     codes = autoencoder.encode(icae, Xb, Yb)
-    for mem, P in ((mx, (codes.Px - s["px_mean"]) / s["px"]),
-                   (my, (codes.Py - s["py_mean"]) / s["py"])):
-        rms = np.sqrt(np.mean(autoencoder.recall(mem, P) ** 2))
+    for cal, P in ((mx, codes.Px), (my, codes.Py)):
+        rms = np.sqrt(np.mean(autoencoder.recall(cal, _standardized(cal, P))
+                              ** 2))
         np.testing.assert_allclose(rms, 1.0, atol=1e-12)
 
 
@@ -176,16 +175,15 @@ def test_hash_codes_match_single_modality_encoding():
     Yb = rng.standard_normal((30, 3))
     with pytest.raises(ValueError):
         autoencoder.hash_codes(icae, "x", Xb)
-    autoencoder.calibrate_code_scales(icae, Xb, Yb, _labels(30, 3))
-    s = icae.code_scales
+    autoencoder.calibrate(icae, Xb, Yb, _labels(30, 3))
+    cal = icae.calibration["y"]
     # the unscaled codes of a full encoding with the x block zeroed,
     # standardized with the y-only commonality scale
     only_y = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
     C, I = autoencoder.hash_codes(icae, "y", Yb)
-    np.testing.assert_array_equal(C, only_y.Cstar / s["cy"])
+    np.testing.assert_array_equal(C, only_y.Cstar / cal.common_scale)
     np.testing.assert_array_equal(
-        I, autoencoder.recall(icae.memory["y"],
-                              (only_y.Py - s["py_mean"]) / s["py"]))
+        I, autoencoder.recall(cal, _standardized(cal, only_y.Py)))
     with pytest.raises(ValueError):
         autoencoder.hash_codes(icae, "z", Xb)
 

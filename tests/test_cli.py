@@ -115,9 +115,10 @@ def test_train_resume_skips_phase_one(tmp_path):
     ((), ("--raw-dim-x", "12"), "raw_dim_x = 10, this run needs 12"),
     (("--alpha", "0.9"), (), "alpha = 0.05, this run needs 0.9"),
     (("--beta", "0.5"), (), "beta = 0.05, this run needs 0.5"),
+    (("--lr-ae", "0.005"), (), "lr_ae = 0.01, this run needs 0.005"),
     # same dimensions, other features
     ((), ("--seed", "1"), "features_x_crc32 = ")],
-    ids=["k", "raw_dim_x", "alpha", "beta", "dataset"])
+    ids=["k", "raw_dim_x", "alpha", "beta", "lr_ae", "dataset"])
 def test_train_resume_rejects_incompatible_checkpoint(tmp_path, capsys, flags,
                                                       gen_extra, mismatch):
     run = _train(tmp_path, _gen(tmp_path))
@@ -260,6 +261,30 @@ def test_eval_rejects_bad_direction(tmp_path):
                     "--dataset", str(data / "dataset"),
                     "--direction", "sideways", "--out", str(tmp_path / "ev")])
     assert code == 1
+
+
+@pytest.mark.parametrize("query, base, wrong", [
+    (("x", "query"), ("y", "query"), "base"),
+    (("x", "base"), ("y", "base"), "query")],
+    ids=["query_codes_as_base", "base_codes_as_query"])
+def test_eval_rejects_codes_of_another_split(tmp_path, capsys, query, base,
+                                             wrong):
+    # codes whose count does not fit the dataset split they are ranked
+    # against are refused before ranking, naming the file
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    q = _encode(tmp_path, data, run, *query, "e1")
+    b = _encode(tmp_path, data, run, *base, "e2")
+    capsys.readouterr()
+    code = run_cli(["eval", "--query-codes", str(q), "--base-codes", str(b),
+                    "--dataset", str(data / "dataset"),
+                    "--direction", "i2t", "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(b if wrong == "base" else q) in err
+    assert f"{wrong} split" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "ev" / "report_i2t.json").exists()
 
 
 @pytest.mark.parametrize("command", ["encode", "eval"])

@@ -179,7 +179,7 @@ def _small_setup(seed=0):
     ds = datagen.split(ds, 10, seed=seed)
     cfg = experiment.RunConfig(k=4, max_epochs=3, seed=seed)
     icae, side = experiment.init_params(ds, cfg)
-    autoencoder.calibrate_code_scales(icae, *ds.base())
+    autoencoder.calibrate(icae, *ds.base())
     return ds, icae, side
 
 
@@ -202,7 +202,7 @@ def test_train_hash_loss_decreases():
     ds = datagen.split(ds, 50, seed=2)
     cfg = experiment.RunConfig(k=16, max_epochs=10, seed=2)
     icae, side = experiment.init_params(ds, cfg)
-    autoencoder.calibrate_code_scales(icae, *ds.base())
+    autoencoder.calibrate(icae, *ds.base())
     side, B, trace = hashing.train_hash(ds, icae, side, cfg)
     assert len(trace) == 10
     assert trace[-1] < trace[0]

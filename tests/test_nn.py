@@ -21,7 +21,7 @@ def test_forward_zero_tanh_layer():
 
 def test_forward_matches_straight_line_evaluation():
     rng = np.random.default_rng(7)
-    net = nn.init_mlp([4, 5, 2], rng, hidden_activation="tanh")
+    net = nn.init_mlp([4, 5, 2], rng)
     x = rng.standard_normal((4, 3))
     out, _ = nn.forward(net, x)
     # independent straight-line evaluation of the layer algebra
@@ -49,7 +49,7 @@ def test_backward_linear_sum_loss_structure():
     np.testing.assert_allclose(db, np.full(2, 4.0), atol=1e-14)
 
 
-def test_backward_zero_upstream_gives_zero_grads():
+def test_backward_zero_upstream_gives_zero_gradients():
     rng = np.random.default_rng(2)
     net = nn.init_mlp([3, 4, 2], rng)
     out, tape = nn.forward(net, rng.standard_normal((3, 5)))
@@ -59,11 +59,12 @@ def test_backward_zero_upstream_gives_zero_grads():
     assert not dx.any()
 
 
-@pytest.mark.parametrize("activation", ["identity", "tanh", "sigmoid", "relu"])
+@pytest.mark.parametrize("activation", ["identity", "tanh"])
 def test_backward_matches_finite_differences(activation):
     rng = np.random.default_rng(3)
-    net = nn.init_mlp([3, 4, 2], rng, hidden_activation=activation)
-    x = rng.standard_normal((3, 4)) + 0.1   # keep relu kinks away from 0
+    net = nn.Mlp([nn.init_dense(3, 4, activation, rng),
+                  nn.init_dense(4, 2, "identity", rng)])
+    x = rng.standard_normal((3, 4)) + 0.1
 
     def loss_at(theta):
         nn.set_flat(net, theta)

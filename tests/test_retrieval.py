@@ -210,7 +210,7 @@ def test_per_label_absent_label_excluded():
 
 # ---------------------------------------------------------------- encode_query
 
-def _trained_tiny(seed=0):
+def _trained_tiny(seed=0, variant=hashing.VARIANTS["full"]):
     spec = datagen.LongTailSpec(c=4, z1=40, imbalance_factor=8.0,
                                 raw_dim_x=10, raw_dim_y=8, shared_dim=3,
                                 private_dim=2, noise_sigma=0.3,
@@ -218,7 +218,7 @@ def _trained_tiny(seed=0):
     ds = datagen.generate(spec)
     ds = datagen.split(ds, 10, seed=seed)
     cfg = experiment.RunConfig(k=4, max_epochs=3, seed=seed)
-    model = experiment.train_full(ds, cfg)
+    model = experiment.train_full(ds, cfg, variant)
     return ds, model
 
 
@@ -238,18 +238,34 @@ def test_encode_query_rejects_bad_modality():
         retrieval.encode_query("z", ds.query()[0], model.icae, model.side)
 
 
+def test_score_rejects_codes_that_do_not_fit_labels():
+    rng = np.random.default_rng(5)
+    codes = np.where(rng.random((8, 6)) < 0.5, 1.0, -1.0)
+    labels = np.eye(6, 3, dtype=np.uint8)
+    labels[3:, 0] = 1
+    retrieval.average_precisions(codes, labels, codes, labels)
+    with pytest.raises(ValueError, match="query codes have 6 columns"):
+        retrieval.average_precisions(codes, labels[:5], codes, labels)
+    with pytest.raises(ValueError, match="base codes have 6 columns"):
+        retrieval.average_precisions(codes, labels, codes, labels[:4])
+
+
 def test_encode_query_consistent_with_training_pass():
-    # base samples encoded through the per-modality hash functions equal
-    # sign(M) from the training-time full pass: both run meta.meta_forward
-    # on the same codes
-    ds, model = _trained_tiny(1)
-    Xb, Yb, _ = ds.base()
-    Mx, My, _ = hashing.full_base_codes(ds, model.icae, model.side,
-                                        model.variant)
-    qx = retrieval.encode_query("x", Xb, model.icae, model.side, model.variant)
-    qy = retrieval.encode_query("y", Yb, model.icae, model.side, model.variant)
-    np.testing.assert_array_equal(qx, np.where(Mx >= 0, 1.0, -1.0))
-    np.testing.assert_array_equal(qy, np.where(My >= 0, 1.0, -1.0))
+    # for every variant, base samples encoded through the per-modality hash
+    # functions equal sign(M) from the training-time full pass: both run
+    # meta.meta_forward on the same hashing.modality_codes, with the
+    # variant's dropped terms zeroed
+    for variant in hashing.VARIANTS.values():
+        ds, model = _trained_tiny(1, variant)
+        Xb, Yb, _ = ds.base()
+        Mx, My, _ = hashing.full_base_codes(ds, model.icae, model.side,
+                                            variant)
+        qx = retrieval.encode_query("x", Xb, model.icae, model.side, variant)
+        qy = retrieval.encode_query("y", Yb, model.icae, model.side, variant)
+        np.testing.assert_array_equal(qx, np.where(Mx >= 0, 1.0, -1.0),
+                                      err_msg=variant.name)
+        np.testing.assert_array_equal(qy, np.where(My >= 0, 1.0, -1.0),
+                                      err_msg=variant.name)
 
 
 def test_evaluate_report_fields():

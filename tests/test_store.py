@@ -1,5 +1,6 @@
 """On-disk container formats: exact round-trips and typed failure modes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -154,24 +155,47 @@ def test_checkpoint_roundtrip_forward_bit_identical(tmp_path):
         before = retrieval.encode_query(modality, raw, model.icae, model.side)
         after = retrieval.encode_query(modality, raw, ckpt.icae, ckpt.side)
         np.testing.assert_array_equal(before, after)
-    # calibration scales and label memories survive the round-trip exactly
-    for key, arr in model.icae.code_scales.items():
-        np.testing.assert_array_equal(ckpt.icae.code_scales[key], arr)
-    for mod, mem in model.icae.memory.items():
-        back = ckpt.icae.memory[mod]
-        np.testing.assert_array_equal(back.prototypes, mem.prototypes)
-        np.testing.assert_array_equal(back.weights, mem.weights)
-        assert (back.dist_scale, back.out_scale) == (mem.dist_scale,
-                                                      mem.out_scale)
+    # every field of each modality's calibration survives the round-trip
+    # exactly, scalars as floats
+    assert ckpt.icae.calibration.keys() == {"x", "y"}
+    for mod, cal in model.icae.calibration.items():
+        back = ckpt.icae.calibration[mod]
+        for field in dataclasses.fields(cal):
+            want = getattr(cal, field.name)
+            got = getattr(back, field.name)
+            assert type(got) is type(want), field.name
+            np.testing.assert_array_equal(got, want, err_msg=field.name)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+def test_checkpoint_refuses_uncalibrated_autoencoder(tmp_path):
+    ds = _dataset()
+    icae, side = experiment.init_params(ds, experiment.RunConfig(k=4))
+    with pytest.raises(ValueError, match="calibrate"):
+        store.save_checkpoint(tmp_path / "ck", "ae", icae, side, hyper={},
+                              loss_trace=[])
+    assert not (tmp_path / "ck").exists()
+
+
+def test_checkpoint_missing_calibration_array_refused(tmp_path):
+    _, model = _trained(1)
+    store.save_checkpoint(tmp_path / "ck", "ae", model.icae, model.side,
+                          hyper={}, loss_trace=[1.0])
+    mpath = tmp_path / "ck" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    del manifest["arrays"]["icae.y.out_scale"]
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(store.StoreError, match="'icae.y.out_scale'"):
+        store.load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_checkpoint_old_version_refused(tmp_path, version):
     # version-1 checkpoints lack the label memories and hold uncentred
     # individuality scales; version-2 checkpoints hold direct-feature maps
     # that the current autoencoder no longer has; version-3 checkpoints keep
     # B outside the manifest's arrays and take unrecorded loss weights as
-    # 0.05
+    # 0.05; version-4 checkpoints keep the calibration under
+    # icae.code_scale.* and icae.memory.* names
     _, model = _trained(2)
     store.save_checkpoint(tmp_path / "ck", "hash", model.icae, model.side,
                           hyper={}, loss_trace=[1.0], B=model.B)
