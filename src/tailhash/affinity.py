@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _pool
+from . import _pool, nn
 
 SIGMA_FLOOR = 1e-8
 # elements of one row block's distance matrix in the nearest-member pass;
@@ -118,8 +118,11 @@ def _nearest_member_sq_dists(features: np.ndarray,
 
 
 def pooling_matrix(L: np.ndarray) -> np.ndarray:
-    """(n, c) mean-pooling map: W[i, a] = 1/n_a if sample i carries label a."""
-    L = np.asarray(L, dtype=np.float64)
+    """(n, c) mean-pooling map: W[i, a] = 1/n_a if sample i carries label a.
+
+    float32 labels give a float32 map; any other dtype gives float64.
+    """
+    L = nn._as_float(L)
     counts = L.sum(axis=0)
     if np.any(counts == 0):
         raise ValueError("every label must have at least one sample")
@@ -133,9 +136,18 @@ def j1_loss_and_grad(prototypes: np.ndarray, aff_x: LabelAffinity,
     Returns the value and its gradient 2 C (Lx + Ly) with respect to the
     (k, c) prototype matrix.
     """
-    C = np.asarray(prototypes, dtype=np.float64)
-    lap = aff_x.laplacian + aff_y.laplacian
+    return j1_trace(prototypes, aff_x.laplacian + aff_y.laplacian)
+
+
+def j1_trace(prototypes: np.ndarray, lap: np.ndarray
+             ) -> tuple[float, np.ndarray]:
+    """tr(C lap C^T) and its gradient 2 C lap for a symmetric (c, c) lap.
+
+    Runs in the prototypes' dtype (float32 stays float32, anything else
+    becomes float64); lap is cast to it.
+    """
+    C = nn._as_float(prototypes)
     if C.shape[1] != lap.shape[0]:
         raise ValueError("prototype columns must match label count")
-    CL = C @ lap
+    CL = C @ lap.astype(C.dtype, copy=False)
     return float(np.sum(CL * C)), 2.0 * CL

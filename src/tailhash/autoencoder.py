@@ -95,8 +95,8 @@ def init_icae(raw_dim_x: int, raw_dim_y: int, k: int,
 def _common_input(Fx: np.ndarray, Fy: np.ndarray,
                   drop: Optional[str]) -> np.ndarray:
     """Concatenated (d_x + d_y, n) input with one modality optionally zeroed."""
-    Fx_t = np.asarray(Fx, dtype=np.float64).T
-    Fy_t = np.asarray(Fy, dtype=np.float64).T
+    Fx_t = nn._as_float(Fx).T
+    Fy_t = nn._as_float(Fy).T
     if drop == "x":
         Fx_t = np.zeros_like(Fx_t)
     elif drop == "y":
@@ -231,11 +231,13 @@ def reconstruction_loss(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray,
     n = np.shape(Fx)[0]
     k = params.k
     value = 0.0
-    out = {"dCstar": np.zeros((n, k)), "dPx": None, "dPy": None}
+    Cs_t = nn._as_float(codes.Cstar).T
+    out = {"dCstar": np.zeros((n, k), dtype=Cs_t.dtype), "dPx": None,
+           "dPy": None}
     for v, (F, P, dec) in {"x": (Fx, codes.Px, params.dec_x),
                            "y": (Fy, codes.Py, params.dec_y)}.items():
-        F_t = np.asarray(F, dtype=np.float64).T
-        U = np.vstack([np.asarray(codes.Cstar).T, np.asarray(P).T])
+        F_t = nn._as_float(F).T
+        U = np.vstack([Cs_t, np.asarray(P).T])
         recon, tape = nn.forward(dec, U)
         resid = recon - F_t
         d_v = F_t.shape[0]
@@ -249,16 +251,22 @@ def reconstruction_loss(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray,
 
 def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
           aff_x: affinity.LabelAffinity, aff_y: affinity.LabelAffinity,
-          alpha: float, beta: float, drop: Optional[str] = None
-          ) -> tuple[float, dict, dict]:
+          alpha: float, beta: float, drop: Optional[str] = None,
+          laplacians: Optional[dict] = None) -> tuple[float, dict, dict]:
     """Full phase-1 loss alpha * J1 + beta * J2 + J3 with analytic gradients
     for all five nets.
 
     Returns (value, parts, grads) where parts has the raw J1/J2/J3 values and
-    grads maps net name -> per-layer (dW, db) list.
+    grads maps net name -> per-layer (dW, db) list. Runs in the dtype of the
+    nets and features (float32 stays float32, anything else becomes
+    float64). ``laplacians``, when given, memoizes J1's summed Laplacian per
+    set of labels present in a batch; it must serve one (aff_x, aff_y) pair
+    only.
     """
-    Fx = np.asarray(Fx, dtype=np.float64)
-    Fy = np.asarray(Fy, dtype=np.float64)
+    if laplacians is None:
+        laplacians = {}
+    Fx = nn._as_float(Fx)
+    Fy = nn._as_float(Fy)
     n = Fx.shape[0]
     k = params.k
 
@@ -272,15 +280,19 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
     L_sub = np.asarray(L)[:, present]
     W = affinity.pooling_matrix(L_sub)                       # (n, cp)
     prototypes = Cs_cols @ W                                 # (k, cp)
-    j1, g_prot = affinity.j1_loss_and_grad(
-        prototypes, aff_x.restrict(present), aff_y.restrict(present))
+    key = present.tobytes()
+    if key not in laplacians:
+        laplacians[key] = (aff_x.restrict(present).laplacian
+                           + aff_y.restrict(present).laplacian)
+    j1, g_prot = affinity.j1_trace(prototypes, laplacians[key])
     dCs_j1 = g_prot @ W.T                                    # (k, n)
 
     # J2 between individuality codes, batch bandwidths held constant
     if n >= 2:
         j2, gPx_rows, gPy_rows = hsic.hsic_value_and_grad(codes.Px, codes.Py)
     else:
-        j2, gPx_rows, gPy_rows = 0.0, np.zeros((n, k)), np.zeros((n, k))
+        j2, gPx_rows, gPy_rows = (0.0, np.zeros((n, k), dtype=Fx.dtype),
+                                  np.zeros((n, k), dtype=Fx.dtype))
 
     j3, rec = reconstruction_loss(params, Fx, Fy, codes)
 
@@ -312,9 +324,14 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     The autoencoder reads the raw features of both modalities; with
     probability 1/2 per batch one modality's block of the commonality-encoder
     input is zeroed so that single-modality query encoding stays well
-    defined. After the last epoch each modality's codes are calibrated over
-    the base split (calibrate). Reads alpha, beta,
-    batch_size, lr_ae, max_epochs and seed from cfg.
+    defined. The SGD loop runs in float32, on float32 copies of the nets,
+    the features and the labels, so every term of Loss1 runs in float32;
+    after the last epoch the trained weights are written back into
+    ``params`` (float32 widens to float64 exactly), and a run that takes no
+    step leaves them as given.
+    Each modality's codes are then calibrated over the base split
+    (calibrate), in float64. Reads alpha, beta, batch_size, lr_ae,
+    max_epochs and seed from cfg.
     """
     Xb, Yb, Lb = dataset.base()
     if Xb.shape[0] == 0:
@@ -329,20 +346,34 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     aff_x = affinity.label_affinity(np.asfortranarray(Xb), Lb)
     aff_y = affinity.label_affinity(np.asfortranarray(Yb), Lb)
 
+    f32 = IcaeParams(**{name: nn.cast(net, np.float32)
+                        for name, net in params.nets().items()})
+    X32, Y32, L32 = (a.astype(np.float32) for a in (Xb, Yb, Lb))
+    laplacians: dict = {}
     trace: list[float] = []
     t = int(np.ceil(n / cfg.batch_size))
-    for _ in range(cfg.max_epochs):
-        epoch_losses = []
-        for _ in range(t):
-            idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-            r = rng.random()
-            drop = "x" if r < 0.25 else ("y" if r < 0.5 else None)
-            value, _, grads = loss1(params, Xb[idx], Yb[idx], Lb[idx],
-                                    aff_x, aff_y, cfg.alpha, cfg.beta,
-                                    drop=drop)
-            for name, net in params.nets().items():
-                nn.sgd_step(net, grads[name], cfg.lr_ae)
-            epoch_losses.append(value)
-        trace.append(float(np.mean(epoch_losses)))
+    # a diverging run overflows float32 long before float64; the finiteness
+    # checks then raise NumericsError, and numpy's own warnings on the way
+    # there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_epochs):
+            epoch_losses = []
+            for _ in range(t):
+                idx = rng.choice(n, size=min(cfg.batch_size, n),
+                                 replace=False)
+                r = rng.random()
+                drop = "x" if r < 0.25 else ("y" if r < 0.5 else None)
+                value, _, grads = loss1(f32, X32[idx], Y32[idx], L32[idx],
+                                        aff_x, aff_y, cfg.alpha, cfg.beta,
+                                        drop=drop, laplacians=laplacians)
+                for name, net in f32.nets().items():
+                    nn.sgd_step(net, grads[name], cfg.lr_ae)
+                epoch_losses.append(value)
+            trace.append(float(np.mean(epoch_losses)))
+    if trace:
+        for name, net in params.nets().items():
+            for layer, trained in zip(net.layers, f32.nets()[name].layers):
+                layer.weight[...] = trained.weight
+                layer.bias[...] = trained.bias
     calibrate(params, Xb, Yb, Lb)
     return params, trace

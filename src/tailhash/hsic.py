@@ -3,17 +3,21 @@
 RBF kernels over rows (samples as rows here), projector centering, the
 biased trace estimator (n-1)^(-2) tr(Kx A Ky A), and its analytic gradient
 with the bandwidths treated as constants during differentiation.
+pairwise_sq_dists and hsic_value_and_grad, the trainer's path, follow their
+input's dtype (float32 stays float32, anything else becomes float64).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import nn
+
 BANDWIDTH_FLOOR = 1e-8
 
 
 def pairwise_sq_dists(P: np.ndarray) -> np.ndarray:
-    P = np.asarray(P, dtype=np.float64)
+    P = nn._as_float(P)
     sq = np.sum(P * P, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (P @ P.T)
     return np.maximum(d2, 0.0)
@@ -61,8 +65,8 @@ def hsic_value_and_grad(Px: np.ndarray, Py: np.ndarray
     sigma). d value / d Kx is (n-1)^(-2) A Ky A, formed by double centering
     Ky in O(n^2) rather than by two dense products with A.
     """
-    Px = np.asarray(Px, dtype=np.float64)
-    Py = np.asarray(Py, dtype=np.float64)
+    Px = nn._as_float(Px)
+    Py = nn._as_float(Py)
     if Px.shape[0] != Py.shape[0]:
         raise ValueError("row counts must match")
     n = Px.shape[0]

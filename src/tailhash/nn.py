@@ -1,17 +1,22 @@
-"""Minimal dense-network substrate: float64 matrices, manual backprop, SGD.
+"""Minimal dense-network substrate: dense matrices, manual backprop, SGD.
 
 Learning code follows the samples-as-columns convention: a batch of n inputs
 to a layer with ``in_dim`` units is an ``(in_dim, n)`` array and the output is
 ``(out_dim, n)``. Dataset files store samples as rows; loaders and module
 boundaries transpose.
 
-Everything is plain numpy float64. There is no autodiff graph: each public
-loss in the repository assembles its gradient from the analytic layer-wise
-backward pass here, and is checked against :func:`finite_diff_grad`.
+Everything is plain numpy. The layers, the forward and backward passes and
+the SGD step follow their input's dtype: float32 stays float32 (the phase-1
+trainer runs its SGD loop in single precision) and anything else becomes
+float64, the precision of every other path, the oracles included. There is
+no autodiff graph: each public loss in the repository assembles its
+gradient from the analytic layer-wise backward pass here, and is checked
+against :func:`finite_diff_grad`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +25,13 @@ import numpy as np
 
 class NumericsError(RuntimeError):
     """A public operation produced or received non-finite values."""
+
+
+def _as_float(x) -> np.ndarray:
+    """``x`` as an array of the kernels' precision: float32 stays float32,
+    anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -44,9 +56,10 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-# name -> (f(z), f'(z) expressed via pre-activation z and output a)
-ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+# name -> (f(z), f'(z) expressed via pre-activation z and output a); the
+# identity's f' = 1 is None: backward passes its upstream straight through
+ACTIVATIONS: dict[str, tuple[Callable, Optional[Callable]]] = {
+    "identity": (lambda z: z, None),
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
 }
 
@@ -58,8 +71,8 @@ class DenseLayer:
     activation: str = "identity"
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weight = _as_float(self.weight)
+        self.bias = _as_float(self.bias)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise ValueError("weight must be (out, in) with matching bias")
         if self.activation not in ACTIVATIONS:
@@ -109,13 +122,20 @@ def init_mlp(dims: Sequence[int], rng: np.random.Generator) -> Mlp:
                 for din, dout, act in zip(dims, dims[1:], acts)])
 
 
+def cast(mlp: Mlp, dtype) -> Mlp:
+    """A copy of the net with its weights and biases in ``dtype``."""
+    return Mlp([DenseLayer(layer.weight.astype(dtype),
+                           layer.bias.astype(dtype), layer.activation)
+                for layer in mlp.layers])
+
+
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Run a batch through the net.
 
     ``x`` is (in_dim, n). Returns the (out_dim, n) output and a tape of
     per-layer (input, pre-activation, post-activation) triples for backward.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float(x)
     if x.ndim != 2 or x.shape[0] != mlp.in_dim:
         raise ValueError(
             f"input has {x.shape[0] if x.ndim == 2 else '?'} rows, "
@@ -142,14 +162,18 @@ def backward(mlp: Mlp, tape: list, upstream: np.ndarray,
     """
     if len(tape) != len(mlp.layers):
         raise ValueError("tape does not match net depth")
-    da = np.asarray(upstream, dtype=np.float64)
+    da = _as_float(upstream)
     if da.shape != tape[-1][2].shape:
         raise ValueError("upstream gradient shape does not match output")
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.layers)
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
         x, z, a = tape[i]
-        dz = da * ACTIVATIONS[layer.activation][1](z, a)
+        deriv = ACTIVATIONS[layer.activation][1]
+        # dz is C-ordered, as a product with the C-ordered z is: its layout
+        # sets the rounding of the BLAS products below
+        dz = (np.ascontiguousarray(da) if deriv is None
+              else da * deriv(z, a))
         grads[i] = (dz @ x.T, dz.sum(axis=1))
         if i or input_grad:
             da = layer.weight.T @ dz
@@ -157,12 +181,22 @@ def backward(mlp: Mlp, tape: list, upstream: np.ndarray,
 
 
 def sgd_step(mlp: Mlp, grads: list, learning_rate: float) -> Mlp:
-    """In-place p <- p - lr * g over every weight and bias."""
+    """In-place p <- p - lr * g over every weight and bias.
+
+    Raises NumericsError, before any parameter moves, if a gradient holds a
+    non-finite value.
+    """
     if learning_rate < 0:
         raise ValueError("learning rate must be non-negative")
+    # one test per net: the sum of every gradient entry is finite unless an
+    # entry is not, or unless finite entries overflow it, which the
+    # per-array check then clears
+    if not math.isfinite(sum(float(dw.sum()) + float(db.sum())
+                             for dw, db in grads)):
+        for dw, db in grads:
+            check_finite(dw, "weight gradient")
+            check_finite(db, "bias gradient")
     for layer, (dw, db) in zip(mlp.layers, grads):
-        check_finite(dw, "weight gradient")
-        check_finite(db, "bias gradient")
         layer.weight -= learning_rate * dw
         layer.bias -= learning_rate * db
     return mlp

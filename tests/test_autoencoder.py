@@ -364,3 +364,92 @@ def test_train_ae_rejects_empty_base():
     icae = autoencoder.init_icae(6, 5, 4, np.random.default_rng(16))
     with pytest.raises(ValueError):
         autoencoder.train_ae(empty, icae, experiment.RunConfig())
+
+
+def _loss1_instance(seed, n=8, c=3, d=3):
+    rng = np.random.default_rng(seed)
+    icae = _tiny_icae(rng, d=d)
+    Fx = rng.standard_normal((n, d))
+    Fy = rng.standard_normal((n, d))
+    L = _labels(n, c)
+    L[:, 2] = 0                     # label 2 absent from the batch
+    L[2, 0] = 1
+    affs = (affinity.label_affinity(Fx, _labels(n, c)),
+            affinity.label_affinity(Fy, _labels(n, c)))
+    return icae, Fx, Fy, L, affs
+
+
+def test_loss1_follows_float32_input():
+    icae, Fx, Fy, L, affs = _loss1_instance(30)
+    v64, parts64, g64 = autoencoder.loss1(icae, Fx, Fy, L, *affs, 0.3, 0.7)
+    assert all(g.dtype == np.float64
+               for grads in g64.values() for pair in grads for g in pair)
+    icae32 = autoencoder.IcaeParams(**{name: nn.cast(net, np.float32)
+                                       for name, net in icae.nets().items()})
+    v32, parts32, g32 = autoencoder.loss1(
+        icae32, Fx.astype(np.float32), Fy.astype(np.float32),
+        L.astype(np.float32), *affs, 0.3, 0.7, drop="y")
+    assert all(g.dtype == np.float32
+               for grads in g32.values() for pair in grads for g in pair)
+    v32, _, g32 = autoencoder.loss1(
+        icae32, Fx.astype(np.float32), Fy.astype(np.float32),
+        L.astype(np.float32), *affs, 0.3, 0.7)
+    assert v32 == pytest.approx(v64, rel=1e-5)
+    for name in g64:
+        np.testing.assert_allclose(nn.flat_grads(g32[name]),
+                                   nn.flat_grads(g64[name]),
+                                   rtol=1e-3, atol=1e-5)
+
+
+def test_loss1_laplacian_memo_is_bit_identical():
+    icae, Fx, Fy, L, affs = _loss1_instance(31)
+    v, parts, g = autoencoder.loss1(icae, Fx, Fy, L, *affs, 0.3, 0.7)
+    memo = {}
+    for _ in range(2):
+        vm, partsm, gm = autoencoder.loss1(icae, Fx, Fy, L, *affs, 0.3, 0.7,
+                                           laplacians=memo)
+        assert vm == v and partsm == parts
+        for name in g:
+            np.testing.assert_array_equal(nn.flat_grads(gm[name]),
+                                          nn.flat_grads(g[name]))
+    assert len(memo) == 1
+    (lap,) = memo.values()
+    assert lap.shape == (2, 2)
+
+
+def test_train_ae_widens_float32_training_to_float64():
+    ds = _tiny_dataset()
+    icae = autoencoder.init_icae(6, 5, 4, np.random.default_rng(17))
+    arrays = [layer.weight for net in icae.nets().values()
+              for layer in net.layers]
+    out, _ = autoencoder.train_ae(
+        ds, icae, experiment.RunConfig(batch_size=8, max_epochs=2, seed=0))
+    assert out is icae
+    for net in icae.nets().values():
+        for layer in net.layers:
+            for arr in (layer.weight, layer.bias):
+                assert arr.dtype == np.float64
+                # trained in float32: every entry is a float32 value
+                np.testing.assert_array_equal(
+                    arr, arr.astype(np.float32).astype(np.float64))
+    # written back in place, into the arrays the caller gave
+    assert all(a is b for a, b in zip(
+        arrays, [layer.weight for net in icae.nets().values()
+                 for layer in net.layers]))
+    for cal in icae.calibration.values():
+        for field in ("ind_mean", "ind_scale", "common_scale", "prototypes",
+                      "weights"):
+            assert getattr(cal, field).dtype == np.float64
+        assert isinstance(cal.dist_scale, float)
+        assert isinstance(cal.out_scale, float)
+
+
+def test_train_ae_divergence_raises_without_numpy_warnings():
+    import warnings
+    ds = _tiny_dataset()
+    icae = autoencoder.init_icae(6, 5, 4, np.random.default_rng(18))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nn.NumericsError):
+            autoencoder.train_ae(ds, icae, experiment.RunConfig(
+                batch_size=8, max_epochs=3, seed=0, lr_ae=1e30))

@@ -466,3 +466,36 @@ def test_check_grad_passes(capsys):
 def test_check_grad_inject_bug_fails(capsys):
     assert run_cli(["check-grad", "--seed", "0", "--inject-bug"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_train_diverging_phase_one_is_one_line_runtime_error(tmp_path,
+                                                             capsys):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(out), "--k", "4", "--max-epochs", "2",
+                    "--seed", "0", "--lr-ae", "1e30"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: non-finite")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "checkpoint_ae").exists()
+
+
+def test_checkpoints_store_float64_and_resume_loads_them(tmp_path):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    for phase, codes in (("ae", set()), ("hash", {"bits"})):
+        manifest = json.loads(
+            (run / f"checkpoint_{phase}" / "manifest.json").read_text())
+        # every real array as <f8; the hash checkpoint adds packed codes
+        dtypes = [e["dtype"] for e in manifest["arrays"].values()]
+        assert set(dtypes) == {"float64"} | codes
+    ae = store.load_checkpoint(run / "checkpoint_ae", expect_phase="ae")
+    assert all(layer.weight.dtype == np.dtype("<f8")
+               for net in ae.icae.nets().values() for layer in net.layers)
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(run), "--k", "4", "--max-epochs", "2",
+                    "--seed", "0", "--resume"])
+    assert code == 0

@@ -174,3 +174,18 @@ def test_bandwidth_is_mean_offdiagonal_sq_distance():
 def test_bandwidth_floor_on_identical_rows():
     P = np.zeros((4, 2))
     assert hsic.bandwidth(P) == hsic.BANDWIDTH_FLOOR
+
+
+def test_value_and_grad_follow_float32_input():
+    rng = np.random.default_rng(21)
+    Px = rng.standard_normal((9, 4))
+    Py = rng.standard_normal((9, 4))
+    v64, gx64, gy64 = hsic.hsic_value_and_grad(Px, Py)
+    assert gx64.dtype == np.float64 and gy64.dtype == np.float64
+    assert hsic.pairwise_sq_dists(Px.astype(np.float32)).dtype == np.float32
+    v32, gx32, gy32 = hsic.hsic_value_and_grad(Px.astype(np.float32),
+                                               Py.astype(np.float32))
+    assert gx32.dtype == np.float32 and gy32.dtype == np.float32
+    assert v32 == pytest.approx(v64, rel=1e-4)
+    np.testing.assert_allclose(gx32, gx64, rtol=1e-3, atol=1e-5)
+    np.testing.assert_allclose(gy32, gy64, rtol=1e-3, atol=1e-5)

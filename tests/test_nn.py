@@ -213,3 +213,79 @@ def test_flat_roundtrip():
     theta = nn.get_flat(net)
     nn.set_flat(net, theta * 2.0)
     np.testing.assert_array_equal(nn.get_flat(net), theta * 2.0)
+
+
+def test_sgd_rejects_nan_in_one_bias_gradient_before_any_step():
+    net = nn.init_mlp([3, 4, 2], np.random.default_rng(1))
+    before = nn.get_flat(net).copy()
+    grads = [(np.ones((4, 3)), np.ones(4)),
+             (np.ones((2, 4)), np.array([0.5, np.nan]))]
+    with pytest.raises(nn.NumericsError, match="bias gradient"):
+        nn.sgd_step(net, grads, 0.1)
+    np.testing.assert_array_equal(nn.get_flat(net), before)
+
+
+def test_sgd_steps_on_finite_gradients_whose_sum_overflows():
+    net = nn.cast(nn.init_mlp([2, 1], np.random.default_rng(2)), np.float32)
+    big = np.finfo(np.float32).max
+    dw = np.full((1, 2), big, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        nn.sgd_step(net, [(dw, np.zeros(1, dtype=np.float32))], 0.0)
+    assert net.layers[0].weight.dtype == np.float32
+
+
+def _net_and_batch(dtype):
+    rng = np.random.default_rng(8)
+    net = nn.init_mlp([4, 5, 3], rng)
+    x = rng.standard_normal((4, 6))
+    up = rng.standard_normal((3, 6))
+    return nn.cast(net, dtype), x.astype(dtype), up.astype(dtype)
+
+
+def test_forward_backward_follow_float32_input():
+    net32, x32, up32 = _net_and_batch(np.float32)
+    out32, tape = nn.forward(net32, x32)
+    grads32, dx32 = nn.backward(net32, tape, up32)
+    assert out32.dtype == np.float32 and dx32.dtype == np.float32
+    assert all(g.dtype == np.float32 for pair in grads32 for g in pair)
+    net, x, up = _net_and_batch(np.float64)
+    out, tape = nn.forward(net, x)
+    grads, dx = nn.backward(net, tape, up)
+    assert out.dtype == np.float64 and dx.dtype == np.float64
+    np.testing.assert_allclose(out32, out, rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(nn.flat_grads(grads32), nn.flat_grads(grads),
+                               rtol=1e-5, atol=1e-5)
+
+
+def test_non_float32_input_runs_in_float64():
+    net, _, _ = _net_and_batch(np.float64)
+    out, tape = nn.forward(net, np.ones((4, 2), dtype=np.int64))
+    assert out.dtype == np.float64
+    grads, dx = nn.backward(net, tape, np.ones((3, 2), dtype=np.float16))
+    assert dx.dtype == np.float64 and grads[0][0].dtype == np.float64
+    assert nn.DenseLayer([[1, 2]], [0]).weight.dtype == np.float64
+
+
+def test_backward_bits_do_not_depend_on_upstream_layout():
+    # big enough that BLAS rounds a product of a transposed operand
+    # differently; phase 2 passes a column-major upstream
+    rng = np.random.default_rng(9)
+    net = nn.init_mlp([10, 16, 8], rng)
+    x = rng.standard_normal((10, 40))
+    up = rng.standard_normal((8, 40))
+    _, tape = nn.forward(net, x)
+    grads_c, dx_c = nn.backward(net, tape, np.ascontiguousarray(up))
+    grads_f, dx_f = nn.backward(net, tape, np.asfortranarray(up))
+    np.testing.assert_array_equal(nn.flat_grads(grads_f),
+                                  nn.flat_grads(grads_c))
+    np.testing.assert_array_equal(dx_f, dx_c)
+
+
+def test_cast_copies_and_round_trips_exactly():
+    net, _, _ = _net_and_batch(np.float64)
+    net32 = nn.cast(net, np.float32)
+    back = nn.cast(net32, np.float64)
+    np.testing.assert_array_equal(nn.get_flat(back),
+                                  nn.get_flat(net32).astype(np.float64))
+    net32.layers[0].weight[:] = 0.0
+    assert net.layers[0].weight.any()
