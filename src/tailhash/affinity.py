@@ -8,16 +8,17 @@ with its gradient.
 
 from __future__ import annotations
 
-import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _pool, nn
+from . import nn
 
 SIGMA_FLOOR = 1e-8
 # elements of one row block's distance matrix in the nearest-member pass;
-# bounds its temporaries to a few MB whatever the label sizes
+# bounds each thread's temporaries to a few MB whatever the label sizes
 BLOCK_ELEMS = 1 << 18
 
 
@@ -58,8 +59,10 @@ def label_affinity(features: np.ndarray, L: np.ndarray) -> LabelAffinity:
     (one GEMM per row block), so each label pair costs two masked sums
     instead of a distance matrix. sigma is the mean of the off-diagonal H
     entries (floored to avoid blow-up on degenerate all-identical data).
+    The features are taken column-major, copied if need be, so the result
+    has the same bits for either memory layout.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asfortranarray(features, dtype=np.float64)
     members = np.asarray(L) > 0
     c = members.shape[1]
     counts = members.sum(axis=0)
@@ -79,15 +82,39 @@ def label_affinity(features: np.ndarray, L: np.ndarray) -> LabelAffinity:
     return LabelAffinity(H, R, R.sum(axis=1), sigma)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+WORKERS = _usable_cpus()
+# a pass is split only when every worker gets at least this many full blocks;
+# below that, the threads' allocator arenas and hand-offs cost more memory and
+# time than the overlap saves
+MIN_BLOCKS_PER_WORKER = 8
+
+
+def _workers_for(n_blocks: float) -> int:
+    """Threads to split a pass of ``n_blocks`` full blocks across; 1 = inline."""
+    return max(1, min(WORKERS, int(n_blocks // MIN_BLOCKS_PER_WORKER)))
+
+
 def _nearest_member_sq_dists(features: np.ndarray,
                              members: np.ndarray) -> np.ndarray:
     """(n, c) squared distance from each sample to its nearest member of
     each label; exactly 0 where the sample carries the label.
 
-    Each label's pass fills only its own column. A large enough set of
-    passes is shared among worker threads, largest first; the row blocks
-    then split BLOCK_ELEMS among the workers, which keeps the temporaries
-    in the same budget.
+    One pass per label fills only that label's column. A large enough set
+    of passes is dealt, largest first, to the least-loaded of several
+    lists; the calling thread runs one list and threads opened for this
+    call run the others. numpy releases the interpreter lock inside the
+    GEMMs and reductions, so the lists overlap on separate CPUs. Every row
+    block holds up to BLOCK_ELEMS elements whatever the thread count, so
+    the result depends on the data alone. The passes call numpy only: the
+    tracing in ``perfbench`` assumes that every span of the package nests
+    on one thread.
     """
     n, c = members.shape
     sq = np.einsum("ij,ij->i", features, features)
@@ -95,26 +122,48 @@ def _nearest_member_sq_dists(features: np.ndarray,
     counts = members.sum(axis=0)
     # a member is its own nearest member, so only the others are searched
     work = (n - counts) * counts
-    workers = _pool.workers_for(work.sum() / BLOCK_ELEMS)
-    budget = BLOCK_ELEMS // workers
+    workers = _workers_for(work.sum() / BLOCK_ELEMS)
+    lists: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for b in np.argsort(-work, kind="stable"):
+        w = loads.index(min(loads))
+        lists[w].append(b)
+        loads[w] += work[b]
 
-    def label_pass(b: int) -> None:
-        rows = np.flatnonzero(~members[:, b])
-        Ym2 = features[members[:, b]]
-        Ym2 *= -2.0              # exact scaling: X @ Ym2.T == -2 X Y^T
-        sq_y = sq[members[:, b]]
-        step = max(1, budget // Ym2.shape[0])
-        for start in range(0, rows.size, step):
-            blk = rows[start:start + step]
-            G = features[blk] @ Ym2.T
-            G += sq_y
-            # ||x||^2 is constant along a row: add it after the min
-            nn2[blk, b] = sq[blk] + G.min(axis=1)
+    def run(labels: list[int]) -> None:
+        for b in labels:
+            _label_pass(features, sq, members[:, b], nn2[:, b])
 
-    _pool.run([functools.partial(label_pass, b)
-               for b in np.argsort(-work, kind="stable")], workers)
+    if workers == 1:
+        run(lists[0])
+    else:
+        # leaving the block joins the threads; a helper's error is raised
+        # by its result(), the caller's after the helpers have finished
+        with ThreadPoolExecutor(workers - 1,
+                                thread_name_prefix="tailhash") as pool:
+            helpers = [pool.submit(run, labels) for labels in lists[1:]]
+            run(lists[0])
+            for helper in helpers:
+                helper.result()
     # GEMM round-off can leave a tiny negative square
     return np.maximum(nn2, 0.0)
+
+
+def _label_pass(features: np.ndarray, sq: np.ndarray, member: np.ndarray,
+                out: np.ndarray) -> None:
+    """Squared distance from every non-member to its nearest member, written
+    into ``out`` (a column of the result); members keep their 0."""
+    rows = np.flatnonzero(~member)
+    Ym2 = features[member]
+    Ym2 *= -2.0              # exact scaling: X @ Ym2.T == -2 X Y^T
+    sq_y = sq[member]
+    step = max(1, BLOCK_ELEMS // Ym2.shape[0])
+    for start in range(0, rows.size, step):
+        blk = rows[start:start + step]
+        G = features[blk] @ Ym2.T
+        G += sq_y
+        # ||x||^2 is constant along a row: add it after the min
+        out[blk] = sq[blk] + G.min(axis=1)
 
 
 def pooling_matrix(L: np.ndarray) -> np.ndarray:
@@ -127,16 +176,6 @@ def pooling_matrix(L: np.ndarray) -> np.ndarray:
     if np.any(counts == 0):
         raise ValueError("every label must have at least one sample")
     return L / counts[None, :]
-
-
-def j1_loss_and_grad(prototypes: np.ndarray, aff_x: LabelAffinity,
-                     aff_y: LabelAffinity) -> tuple[float, np.ndarray]:
-    """Cross-modal commonality regularizer tr(C (Lx + Ly) C^T).
-
-    Returns the value and its gradient 2 C (Lx + Ly) with respect to the
-    (k, c) prototype matrix.
-    """
-    return j1_trace(prototypes, aff_x.laplacian + aff_y.laplacian)
 
 
 def j1_trace(prototypes: np.ndarray, lap: np.ndarray

@@ -317,6 +317,11 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
     return value, {"j1": j1, "j2": j2, "j3": j3}, grads
 
 
+# a phase-1 batch loss above this multiple of the first batch's is taken as
+# divergence; healthy runs stay within 3 times the first batch's loss
+DIVERGENCE_FACTOR = 1e3
+
+
 def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
              ) -> tuple[IcaeParams, list[float]]:
     """Phase-1 minibatch SGD over the base split; returns per-epoch mean Loss1.
@@ -332,6 +337,9 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     Each modality's codes are then calibrated over the base split
     (calibrate), in float64. Reads alpha, beta, batch_size, lr_ae,
     max_epochs and seed from cfg.
+
+    Raises NumericsError when a batch loss is non-finite or exceeds
+    DIVERGENCE_FACTOR (1e3) times the first batch's loss.
     """
     Xb, Yb, Lb = dataset.base()
     if Xb.shape[0] == 0:
@@ -339,18 +347,16 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     n = Xb.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
-    # the label affinity depends only on the raw features; compute it once.
-    # Its row norms round differently by memory layout, and phase 1 feeds
-    # it column-major features, on which the acceptance criteria were
-    # measured
-    aff_x = affinity.label_affinity(np.asfortranarray(Xb), Lb)
-    aff_y = affinity.label_affinity(np.asfortranarray(Yb), Lb)
+    # the label affinity depends only on the raw features; compute it once
+    aff_x = affinity.label_affinity(Xb, Lb)
+    aff_y = affinity.label_affinity(Yb, Lb)
 
     f32 = IcaeParams(**{name: nn.cast(net, np.float32)
                         for name, net in params.nets().items()})
     X32, Y32, L32 = (a.astype(np.float32) for a in (Xb, Yb, Lb))
     laplacians: dict = {}
     trace: list[float] = []
+    first: Optional[float] = None
     t = int(np.ceil(n / cfg.batch_size))
     # a diverging run overflows float32 long before float64; the finiteness
     # checks then raise NumericsError, and numpy's own warnings on the way
@@ -366,6 +372,13 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
                 value, _, grads = loss1(f32, X32[idx], Y32[idx], L32[idx],
                                         aff_x, aff_y, cfg.alpha, cfg.beta,
                                         drop=drop, laplacians=laplacians)
+                if first is None:
+                    first = value
+                elif value > DIVERGENCE_FACTOR * first:
+                    raise nn.NumericsError(
+                        f"phase 1 diverged: batch loss {value:.3g} exceeds "
+                        f"{DIVERGENCE_FACTOR:g} x the first batch's "
+                        f"{first:.3g}")
                 for name, net in f32.nets().items():
                     nn.sgd_step(net, grads[name], cfg.lr_ae)
                 epoch_losses.append(value)

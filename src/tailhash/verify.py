@@ -144,7 +144,7 @@ def j1_pairwise(prototypes: np.ndarray, aff_x: affinity.LabelAffinity,
                 aff_y: affinity.LabelAffinity) -> float:
     """Pairwise-sum form 1/2 sum_ab ||C_a - C_b||^2 (Rx_ab + Ry_ab).
 
-    Independent of the trace form of affinity.j1_loss_and_grad; the two
+    Independent of the trace form of affinity.j1_trace; the two
     must agree to rounding.
     """
     C = np.asarray(prototypes, dtype=np.float64)
@@ -170,11 +170,12 @@ def check_j1(seed: int = 0, trials: int = 20, bug: bool = False):
         L[np.arange(n), np.arange(n) % c] = 1
         aff = affinity.label_affinity(feats, L)
         C = rng.standard_normal((k, c))
-        val, _ = affinity.j1_loss_and_grad(C, aff, aff)
+        val, _ = affinity.j1_trace(C, aff.laplacian + aff.laplacian)
         val = val + (1e-2 if bug else 0.0)
         worst = max(worst, abs(val - j1_pairwise(C, aff, aff)))
-        const_val, _ = affinity.j1_loss_and_grad(
-            np.tile(rng.standard_normal((k, 1)), (1, c)), aff, aff)
+        const_val, _ = affinity.j1_trace(
+            np.tile(rng.standard_normal((k, 1)), (1, c)),
+            aff.laplacian + aff.laplacian)
         worst = max(worst, abs(const_val))
     return ("j1_dual_form", worst <= 1e-8, f"worst abs err {worst:.2e}")
 
@@ -286,8 +287,8 @@ def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, alpha, beta,
         present = np.flatnonzero(np.asarray(L).sum(axis=0) > 0)
         W = affinity.pooling_matrix(np.asarray(L)[:, present])
         prot = codes.Cstar.T @ W
-        j1, _ = affinity.j1_loss_and_grad(prot, aff_x.restrict(present),
-                                          aff_y.restrict(present))
+        j1, _ = affinity.j1_trace(prot, aff_x.restrict(present).laplacian
+                                  + aff_y.restrict(present).laplacian)
         j2 = hsic.hsic_value(hsic.rbf_kernel(codes.Px, sx),
                              hsic.rbf_kernel(codes.Py, sy))
         j3, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)

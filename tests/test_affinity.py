@@ -1,5 +1,8 @@
 """Pair similarity, average Hausdorff label affinity, prototype regularizer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -149,7 +152,7 @@ def test_j1_zero_on_constant_prototypes():
     rng = np.random.default_rng(5)
     aff = _random_affinity(rng, 4)
     C = np.tile(rng.standard_normal((3, 1)), (1, 4))
-    val, _ = affinity.j1_loss_and_grad(C, aff, aff)
+    val, _ = affinity.j1_trace(C, aff.laplacian + aff.laplacian)
     assert abs(val) <= 1e-10
 
 
@@ -158,7 +161,7 @@ def test_j1_two_label_closed_form():
     rng = np.random.default_rng(6)
     aff = _random_affinity(rng, 2)
     C = rng.standard_normal((3, 2))
-    val, _ = affinity.j1_loss_and_grad(C, aff, aff)
+    val, _ = affinity.j1_trace(C, aff.laplacian + aff.laplacian)
     expected = 2 * aff.R[0, 1] * float(np.sum((C[:, 0] - C[:, 1]) ** 2))
     assert val == pytest.approx(expected)
 
@@ -170,7 +173,7 @@ def test_j1_trace_equals_pairwise_sum():
         aff_x = _random_affinity(rng, c)
         aff_y = _random_affinity(rng, c)
         C = rng.standard_normal((4, c))
-        val, _ = affinity.j1_loss_and_grad(C, aff_x, aff_y)
+        val, _ = affinity.j1_trace(C, aff_x.laplacian + aff_y.laplacian)
         assert abs(val - verify.j1_pairwise(C, aff_x, aff_y)) <= 1e-10
 
 
@@ -179,7 +182,7 @@ def test_j1_nonnegative():
     for _ in range(10):
         aff = _random_affinity(rng, 3)
         C = rng.standard_normal((2, 3))
-        val, _ = affinity.j1_loss_and_grad(C, aff, aff)
+        val, _ = affinity.j1_trace(C, aff.laplacian + aff.laplacian)
         assert val >= -1e-12
 
 
@@ -188,9 +191,10 @@ def test_j1_gradient_matches_finite_differences():
     aff_x = _random_affinity(rng, 4)
     aff_y = _random_affinity(rng, 4)
     C = rng.standard_normal((3, 4))
-    _, grad = affinity.j1_loss_and_grad(C, aff_x, aff_y)
+    _, grad = affinity.j1_trace(C, aff_x.laplacian + aff_y.laplacian)
     numeric = nn.finite_diff_grad(
-        lambda M: affinity.j1_loss_and_grad(M, aff_x, aff_y)[0], C)
+        lambda M: affinity.j1_trace(M, aff_x.laplacian + aff_y.laplacian)[0],
+        C)
     np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
 
@@ -198,7 +202,7 @@ def test_j1_dimension_mismatch():
     rng = np.random.default_rng(10)
     aff = _random_affinity(rng, 3)
     with pytest.raises(ValueError):
-        affinity.j1_loss_and_grad(np.zeros((2, 4)), aff, aff)
+        affinity.j1_trace(np.zeros((2, 4)), aff.laplacian + aff.laplacian)
 
 
 def test_restrict_subsets_affinity():
@@ -207,3 +211,104 @@ def test_restrict_subsets_affinity():
     sub = aff.restrict(np.array([0, 2, 4]))
     np.testing.assert_array_equal(sub.H, aff.H[np.ix_([0, 2, 4], [0, 2, 4])])
     np.testing.assert_allclose(sub.D, sub.R.sum(axis=1))
+
+
+# ------------------------------------------- threads of the nearest-member pass
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the thread count, split every pass of at least one block per
+    thread, and shrink the row blocks to 120 elements so that small data
+    takes several blocks per label pass (single rows for the largest label).
+    Threads switch far more often than by default, to shake out races."""
+    def set_workers(n):
+        monkeypatch.setattr(affinity, "WORKERS", n)
+        monkeypatch.setattr(affinity, "MIN_BLOCKS_PER_WORKER", 1)
+
+    monkeypatch.setattr(affinity, "BLOCK_ELEMS", 120)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield set_workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _labelled_cloud():
+    rng = np.random.default_rng(0)
+    feats = 2.0 * rng.standard_normal((90, 5))
+    L = (rng.random((90, 6)) < [0.6, 0.4, 0.2, 0.1, 0.05, 0.3]).astype(np.uint8)
+    L[L.sum(axis=1) == 0, 0] = 1
+    L[:, 5] = L[:, 1]
+    return feats, L
+
+
+def _spy_passes(monkeypatch, before=None):
+    """Record the thread of every label pass; ``before(thread)`` runs ahead
+    of each pass."""
+    threads = []
+    real = affinity._label_pass
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        if before is not None:
+            before(threads[-1])
+        real(*args)
+
+    monkeypatch.setattr(affinity, "_label_pass", spy)
+    return threads
+
+
+def test_pass_split_only_with_enough_blocks_per_worker(monkeypatch):
+    monkeypatch.setattr(affinity, "WORKERS", 2)
+    assert affinity._workers_for(0) == 1
+    assert affinity._workers_for(13) == 1       # a train-accept affinity pass
+    assert affinity._workers_for(16) == 2
+    assert affinity._workers_for(867) == 2      # a cli-large affinity pass
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_label_affinity_identical_at_any_worker_count(workers, n, order):
+    feats, L = _labelled_cloud()
+    workers(1)
+    want = affinity.label_affinity(feats, L)
+    workers(n)
+    got = affinity.label_affinity(np.asarray(feats, order=order), L)
+    np.testing.assert_array_equal(got.H, want.H)
+    np.testing.assert_array_equal(got.R, want.R)
+    assert got.sigma == want.sigma
+
+
+def test_label_affinity_leaves_no_thread_running(workers, monkeypatch):
+    feats, L = _labelled_cloud()
+    workers(3)
+    threads = _spy_passes(monkeypatch)
+    affinity.label_affinity(feats, L)
+    assert len(threads) == 6                    # one pass per label
+    assert len(set(threads)) > 1                # the pass was split
+    assert not any(t.is_alive() for t in threads
+                   if t is not threading.current_thread())
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_label_pass_error_reaches_caller(workers, monkeypatch, raiser):
+    feats, L = _labelled_cloud()
+    workers(3)
+    caller = threading.current_thread()
+    # each of the three threads holds its first pass until all three have one
+    barrier = threading.Barrier(3, timeout=10)
+    started = set()
+
+    def fail(thread):
+        if thread not in started:
+            started.add(thread)
+            barrier.wait()
+        if (thread is caller) == (raiser == "caller"):
+            raise KeyError(raiser)
+
+    threads = _spy_passes(monkeypatch, fail)
+    with pytest.raises(KeyError, match=raiser):
+        affinity.label_affinity(feats, L)
+    assert not barrier.broken
+    assert not any(t.is_alive() for t in threads if t is not caller)

@@ -483,6 +483,22 @@ def test_train_diverging_phase_one_is_one_line_runtime_error(tmp_path,
     assert not (out / "checkpoint_ae").exists()
 
 
+def test_train_growing_phase_one_loss_is_one_line_runtime_error(tmp_path,
+                                                                capsys):
+    # at this step the losses stay finite (epoch means 5.76, then 2.2e18)
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(out), "--k", "4", "--max-epochs", "2",
+                    "--seed", "0", "--lr-ae", "1e9"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: phase 1 diverged")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "checkpoint_ae").exists()
+
+
 def test_checkpoints_store_float64_and_resume_loads_them(tmp_path):
     data = _gen(tmp_path)
     run = _train(tmp_path, data)
