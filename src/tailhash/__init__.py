@@ -6,8 +6,10 @@ Library layout:
 - ``datagen``     synthetic Zipf long-tail two-modality datasets
 - ``affinity``    pairwise similarity, Hausdorff label affinity, prototype
                   Laplacian regularizer
-- ``hsic``        Hilbert-Schmidt independence criterion and gradient
-- ``autoencoder`` individuality-commonality autoencoder (phase 1)
+- ``hsic``        Hilbert-Schmidt independence criterion: the trainer's
+                  value-and-gradient path
+- ``autoencoder`` individuality-commonality autoencoder (phase 1): one
+                  both-modality encoder pass, loss, trainer, calibration
 - ``meta``        per-modality projector, selector and fusion: the meta-feature
                   forward pass of training and query encoding, and its backward
 - ``hashing``     likelihood loss, sign update, phase-2 trainer, ablations
@@ -16,6 +18,8 @@ Library layout:
 - ``experiment``  the one run configuration (``RunConfig``), read by both
                   phases, and end-to-end orchestration helpers
 - ``verify``      gradient checks and every oracle (also `tailhash check-grad`)
+                  and their helpers: finite differences, flat parameter
+                  views, the composed HSIC path
 - ``cli``         command-line interface
 """
 

@@ -94,26 +94,33 @@ def init_icae(raw_dim_x: int, raw_dim_y: int, k: int,
 
 def _common_input(Fx: np.ndarray, Fy: np.ndarray,
                   drop: Optional[str]) -> np.ndarray:
-    """Concatenated (d_x + d_y, n) input with one modality optionally zeroed."""
-    Fx_t = nn._as_float(Fx).T
-    Fy_t = nn._as_float(Fy).T
-    if drop == "x":
-        Fx_t = np.zeros_like(Fx_t)
-    elif drop == "y":
-        Fy_t = np.zeros_like(Fy_t)
-    elif drop is not None:
+    """Concatenated (d_x + d_y, n) input with the ``drop`` modality's block
+    (if any) zeroed."""
+    if drop not in (None, "x", "y"):
         raise ValueError("drop must be None, 'x' or 'y'")
-    return np.vstack([Fx_t, Fy_t])
+    d_x = np.shape(Fx)[1]
+    common_in = np.vstack([nn._as_float(Fx).T, nn._as_float(Fy).T])
+    if drop == "x":
+        common_in[:d_x] = 0.0
+    elif drop == "y":
+        common_in[d_x:] = 0.0
+    return common_in
 
 
-def encode(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray) -> Codes:
-    """Unscaled individuality and commonality codes of a batch, (n, k) each."""
-    if np.shape(Fx)[0] != np.shape(Fy)[0]:
+def encode(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray,
+           drop: Optional[str] = None) -> tuple[Codes, dict[str, list]]:
+    """The three encoders over a two-modality batch, in the features'
+    dtype: the unscaled (n, k) codes and each encoder's tape by net name.
+    ``drop`` zeroes one modality's commonality block (phase-1 dropout)."""
+    Fx = nn._as_float(Fx)
+    Fy = nn._as_float(Fy)
+    if Fx.shape[0] != Fy.shape[0]:
         raise ValueError("modalities must have the same sample count")
-    Px, _ = nn.forward(params.enc_ind_x, np.asarray(Fx, dtype=np.float64).T)
-    Py, _ = nn.forward(params.enc_ind_y, np.asarray(Fy, dtype=np.float64).T)
-    Cs, _ = nn.forward(params.enc_common, _common_input(Fx, Fy, None))
-    return Codes(Px.T, Py.T, Cs.T)
+    Px, tape_x = nn.forward(params.enc_ind_x, Fx.T)
+    Py, tape_y = nn.forward(params.enc_ind_y, Fy.T)
+    Cs, tape_c = nn.forward(params.enc_common, _common_input(Fx, Fy, drop))
+    return (Codes(Px.T, Py.T, Cs.T),
+            {"enc_ind_x": tape_x, "enc_ind_y": tape_y, "enc_common": tape_c})
 
 
 SCALE_FLOOR = 1e-8
@@ -132,14 +139,17 @@ def raw_codes(params: IcaeParams, modality: str, raw: np.ndarray
     """
     if modality not in ("x", "y"):
         raise ValueError("modality must be 'x' or 'y'")
-    d_x = params.enc_ind_x.in_dim
-    own, block = ((params.enc_ind_x, slice(0, d_x)) if modality == "x"
-                  else (params.enc_ind_y, slice(d_x, None)))
-    raw_t = np.asarray(raw, dtype=np.float64).T
+    raw = np.asarray(raw, dtype=np.float64)
+    own, other = ((params.enc_ind_x, params.enc_ind_y) if modality == "x"
+                  else (params.enc_ind_y, params.enc_ind_x))
     # [0]: each forward's tape is dropped before the next pass starts
-    P = nn.forward(own, raw_t)[0]
-    common_in = np.zeros((params.enc_common.in_dim, raw_t.shape[1]))
-    common_in[block] = raw_t
+    P = nn.forward(own, raw.T)[0]
+    # a zero-stride stand-in for the dropped block; the input is pinned
+    # row-major, as its layout sets the BLAS rounding
+    absent = np.broadcast_to(0.0, (raw.shape[0], other.in_dim))
+    Fx, Fy, drop = ((raw, absent, "y") if modality == "x"
+                    else (absent, raw, "x"))
+    common_in = np.ascontiguousarray(_common_input(Fx, Fy, drop))
     Cs = nn.forward(params.enc_common, common_in)[0]
     return Cs.T, P.T
 
@@ -270,10 +280,8 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
     n = Fx.shape[0]
     k = params.k
 
-    Px_cols, tape_ix = nn.forward(params.enc_ind_x, Fx.T)
-    Py_cols, tape_iy = nn.forward(params.enc_ind_y, Fy.T)
-    Cs_cols, tape_c = nn.forward(params.enc_common, _common_input(Fx, Fy, drop))
-    codes = Codes(Px_cols.T, Py_cols.T, Cs_cols.T)
+    codes, tapes = encode(params, Fx, Fy, drop)
+    Cs_cols = codes.Cstar.T                                  # (k, n)
 
     # J1 on mean-pooled prototypes of the labels present in the batch
     present = np.flatnonzero(np.asarray(L).sum(axis=0) > 0)
@@ -301,12 +309,12 @@ def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
     dPy = beta * gPy_rows.T + rec["dPy"].T
 
     grads = {
-        "enc_ind_x": nn.backward(params.enc_ind_x, tape_ix, dPx,
+        "enc_ind_x": nn.backward(params.enc_ind_x, tapes["enc_ind_x"], dPx,
                                  input_grad=False)[0],
-        "enc_ind_y": nn.backward(params.enc_ind_y, tape_iy, dPy,
+        "enc_ind_y": nn.backward(params.enc_ind_y, tapes["enc_ind_y"], dPy,
                                  input_grad=False)[0],
-        "enc_common": nn.backward(params.enc_common, tape_c, dCs,
-                                  input_grad=False)[0],
+        "enc_common": nn.backward(params.enc_common, tapes["enc_common"],
+                                  dCs, input_grad=False)[0],
         "dec_x": rec["dec_x"],
         "dec_y": rec["dec_y"],
     }

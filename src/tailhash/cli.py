@@ -147,9 +147,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     cfg = _run_config(args)
     dataset = _load_dataset(args.dataset)
-    variant = hashing.VARIANTS.get(args.variant)
-    if variant is None:
-        raise CliError(f"unknown variant {args.variant!r}")
+    variant = hashing.VARIANTS[args.variant]
 
     # every checkpoint records the whole run configuration
     hyper = dataclasses.asdict(cfg)
@@ -180,10 +178,6 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     out = _out_dir(args)
-    if args.modality not in ("x", "y"):
-        raise CliError("modality must be 'x' or 'y'")
-    if args.split not in ("base", "query"):
-        raise CliError("split must be 'base' or 'query'")
     dataset = _load_dataset(args.dataset)
     try:
         ckpt = store.load_checkpoint(args.checkpoint, expect_phase="hash")
@@ -205,11 +199,22 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _head_count(args, dataset: datagen.Dataset) -> int:
+    """--head-count, which must lie in 0..c; c // 2 when not given."""
+    if args.head_count is None:
+        return dataset.c // 2
+    if not 0 <= args.head_count <= dataset.c:
+        raise CliError(f"--head-count must be in 0..{dataset.c}, got "
+                       f"{args.head_count}")
+    return args.head_count
+
+
 def cmd_eval(args) -> int:
     out = _out_dir(args)
-    if args.direction not in ("i2t", "t2i"):
-        raise CliError("direction must be 'i2t' or 't2i'")
+    if args.top_r is not None and args.top_r < 1:
+        raise CliError(f"--top-r must be >= 1, got {args.top_r}")
     dataset = _load_dataset(args.dataset)
+    head = _head_count(args, dataset)
     try:
         q_codes, q_info = store.load_codes(args.query_codes)
         b_codes, _ = store.load_codes(args.base_codes)
@@ -225,7 +230,6 @@ def cmd_eval(args) -> int:
                            f"dataset's {split} split has {labels.shape[0]} "
                            f"items")
     counts = dataset.meta.get("label_counts", Lb.sum(axis=0))
-    head = args.head_count if args.head_count else dataset.c // 2
     report = retrieval.evaluate(args.direction, q_codes, Lq, b_codes, Lb,
                                 counts, head, topR=args.top_r,
                                 variant=q_info.get("variant", "full"))
@@ -242,6 +246,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     cfg = _run_config(args)
     dataset = _load_dataset(args.dataset)
+    head = _head_count(args, dataset)
     icae, side0, trace1 = experiment.train_phase1(dataset, cfg)
     summary = {}
     for name, variant in hashing.VARIANTS.items():
@@ -251,8 +256,7 @@ def cmd_ablate(args) -> int:
             dataset, cfg, icae, copy.deepcopy(side0), variant)
         model = experiment.TrainedModel(icae, side, B, trace1, trace2,
                                         variant)
-        reports = experiment.evaluate_model(dataset, model,
-                                            head_count=args.head_count)
+        reports = experiment.evaluate_model(dataset, model, head_count=head)
         for direction, report in reports.items():
             stem = out / f"report_{name}_{direction}"
             store.emit_report(report, "json", stem.with_suffix(".json"))
@@ -312,8 +316,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("encode", help="encode a split with a trained model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--modality", required=True)
-    p.add_argument("--split", default="query")
+    p.add_argument("--modality", required=True, choices=("x", "y"))
+    p.add_argument("--split", default="query", choices=("base", "query"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_encode)
 
@@ -321,7 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("--query-codes", required=True)
     p.add_argument("--base-codes", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--direction", required=True)
+    p.add_argument("--direction", required=True, choices=("i2t", "t2i"))
     p.add_argument("--head-count", type=int, default=None)
     p.add_argument("--top-r", type=int, default=None)
     p.add_argument("--out", default=None)

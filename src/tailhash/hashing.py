@@ -124,18 +124,12 @@ def _modality_pass(side: meta.HashSideParams, X: np.ndarray, Y: np.ndarray,
             meta.meta_forward(side.y, Y, *codes[1]))
 
 
-def full_base_codes(dataset: Dataset, icae: autoencoder.IcaeParams,
-                    side: meta.HashSideParams,
-                    variant: Variant = VARIANTS["full"],
-                    codes: tuple[ModalityCodes, ModalityCodes] | None = None
+def full_base_codes(side: meta.HashSideParams, Xb: np.ndarray,
+                    Yb: np.ndarray,
+                    codes: tuple[ModalityCodes, ModalityCodes]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Mx, My, B) over the whole base split with the current parameters;
-    codes are the variant's modality_codes of the base split, computed here
-    when not given."""
-    Xb, Yb, _ = dataset.base()
-    if codes is None:
-        codes = (modality_codes(icae, "x", Xb, variant),
-                 modality_codes(icae, "y", Yb, variant))
+    codes are the variant's modality_codes of the base split."""
     fwd_x, fwd_y = _modality_pass(side, Xb, Yb, codes)
     return fwd_x.M, fwd_y.M, update_B(fwd_x.M, fwd_y.M)
 
@@ -172,7 +166,7 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
     base_codes = (modality_codes(icae, "x", Xb, variant),
                   modality_codes(icae, "y", Yb, variant))
 
-    _, _, B = full_base_codes(dataset, icae, side, variant, codes=base_codes)
+    _, _, B = full_base_codes(side, Xb, Yb, base_codes)
     trace: list[float] = []
     for _ in range(cfg.max_epochs):
         batch_losses = []
@@ -200,7 +194,6 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
                            eta) / nb ** 2
             _step_side(side.y, fwd_y, gy, cfg.lr_feat)
 
-        _, _, B = full_base_codes(dataset, icae, side, variant,
-                                  codes=base_codes)
+        _, _, B = full_base_codes(side, Xb, Yb, base_codes)
         trace.append(float(np.mean(batch_losses)))
     return side, B, trace

@@ -2,9 +2,10 @@
 
 RBF kernels over rows (samples as rows here), projector centering, the
 biased trace estimator (n-1)^(-2) tr(Kx A Ky A), and its analytic gradient
-with the bandwidths treated as constants during differentiation.
-pairwise_sq_dists and hsic_value_and_grad, the trainer's path, follow their
-input's dtype (float32 stays float32, anything else becomes float64).
+with the bandwidths treated as constants during differentiation. This is
+the trainer's path only; it follows its input's dtype (float32 stays
+float32, anything else becomes float64). The composed path it is checked
+against is an oracle in ``verify``.
 """
 
 from __future__ import annotations
@@ -24,35 +25,11 @@ def pairwise_sq_dists(P: np.ndarray) -> np.ndarray:
 
 
 def _mean_offdiagonal(d2: np.ndarray) -> float:
+    """Mean off-diagonal entry of a pairwise squared-distance matrix,
+    floored: the RBF bandwidth."""
     n = d2.shape[0]
     off = d2[~np.eye(n, dtype=bool)]
     return max(float(off.mean()) if off.size else 0.0, BANDWIDTH_FLOOR)
-
-
-def bandwidth(P: np.ndarray) -> float:
-    """Mean off-diagonal pairwise squared distance, floored."""
-    return _mean_offdiagonal(pairwise_sq_dists(P))
-
-
-def rbf_kernel(P: np.ndarray, sigma: float) -> np.ndarray:
-    """K_ab = exp(-||P_a - P_b||^2 / sigma) over rows of P."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return np.exp(-pairwise_sq_dists(P) / sigma)
-
-
-def hsic_value(Kx: np.ndarray, Ky: np.ndarray, n: int | None = None) -> float:
-    """(n-1)^(-2) tr(Kx A Ky A) with A = I - ee^T/n."""
-    Kx = np.asarray(Kx, dtype=np.float64)
-    Ky = np.asarray(Ky, dtype=np.float64)
-    m = Kx.shape[0]
-    if n is None:
-        n = m
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    KxC = Kx - Kx.mean(axis=1, keepdims=True)       # Kx A
-    KyC = Ky - Ky.mean(axis=1, keepdims=True)       # Ky A
-    return float(np.sum(KxC * KyC.T) / (n - 1) ** 2)
 
 
 def hsic_value_and_grad(Px: np.ndarray, Py: np.ndarray
@@ -60,10 +37,11 @@ def hsic_value_and_grad(Px: np.ndarray, Py: np.ndarray
     """HSIC of the rows of Px and Py at their own bandwidths, with its
     gradient wrt the rows of each.
 
-    The value equals hsic_value(rbf_kernel(P, bandwidth(P)), ...) bit for
-    bit. The bandwidths are constants in the gradient (no gradient through
-    sigma). d value / d Kx is (n-1)^(-2) A Ky A, formed by double centering
-    Ky in O(n^2) rather than by two dense products with A.
+    The value equals the composed oracle in verify,
+    hsic_value(rbf_kernel(P, bandwidth(P)), ...), bit for bit. The
+    bandwidths are constants in the gradient (no gradient through sigma).
+    d value / d Kx is (n-1)^(-2) A Ky A, formed by double centering Ky in
+    O(n^2) rather than by two dense products with A.
     """
     Px = nn._as_float(Px)
     Py = nn._as_float(Py)

@@ -11,7 +11,7 @@ trainer runs its SGD loop in single precision) and anything else becomes
 float64, the precision of every other path, the oracles included. There is
 no autodiff graph: each public loss in the repository assembles its
 gradient from the analytic layer-wise backward pass here, and is checked
-against :func:`finite_diff_grad`.
+against central finite differences (``verify.finite_diff_grad``).
 """
 
 from __future__ import annotations
@@ -200,47 +200,3 @@ def sgd_step(mlp: Mlp, grads: list, learning_rate: float) -> Mlp:
         layer.weight -= learning_rate * dw
         layer.bias -= learning_rate * db
     return mlp
-
-
-def finite_diff_grad(fn: Callable[[np.ndarray], float], point: np.ndarray,
-                     eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function, per coordinate."""
-    point = np.asarray(point, dtype=np.float64)
-    grad = np.zeros_like(point)
-    it = np.nditer(point, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        p = point.copy()
-        p[idx] += eps
-        f_plus = fn(p)
-        p[idx] -= 2 * eps
-        f_minus = fn(p)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericsError("non-finite function value in finite_diff_grad")
-        grad[idx] = (f_plus - f_minus) / (2 * eps)
-    return grad
-
-
-# -- flat parameter views (used by gradient-check harnesses) --
-
-def get_flat(mlp: Mlp) -> np.ndarray:
-    return np.concatenate([np.concatenate([l.weight.ravel(), l.bias])
-                           for l in mlp.layers])
-
-
-def set_flat(mlp: Mlp, vec: np.ndarray) -> None:
-    pos = 0
-    for layer in mlp.layers:
-        nw = layer.weight.size
-        layer.weight = vec[pos:pos + nw].reshape(layer.weight.shape).copy()
-        pos += nw
-        nb = layer.bias.size
-        layer.bias = vec[pos:pos + nb].copy()
-        pos += nb
-    if pos != vec.size:
-        raise ValueError("flat vector length does not match net")
-
-
-def flat_grads(grads: list) -> np.ndarray:
-    return np.concatenate([np.concatenate([dw.ravel(), db])
-                           for dw, db in grads])

@@ -102,6 +102,8 @@ def _score(query_codes, query_labels, base_codes, base_labels,
     j-th hit at 0-based rank p adds j / (p + 1) to its query's AP, which
     sums its own hits in rank order.
     """
+    if topR is not None and topR < 1:
+        raise ValueError(f"top R must be >= 1, got {topR}")
     dist = hamming_matrix(query_codes, base_codes)
     Lq = np.asarray(query_labels, dtype=np.float64)
     LbT = np.asarray(base_labels, dtype=np.float64).T
@@ -143,12 +145,6 @@ def _score(query_codes, query_labels, base_codes, base_labels,
     return aps, valid, [hits / min(k, nb) for k, hits in zip(ks, hits_at)]
 
 
-def _precisions(ks: Sequence[int], per_query: list[np.ndarray],
-                valid: np.ndarray) -> list[tuple[int, float]]:
-    """Mean precision@k over the queries with a relevant base item."""
-    return [(int(k), float(p[valid].mean())) for k, p in zip(ks, per_query)]
-
-
 def average_precisions(query_codes: np.ndarray, query_labels: np.ndarray,
                        base_codes: np.ndarray, base_labels: np.ndarray,
                        topR: Optional[int] = None) -> np.ndarray:
@@ -165,13 +161,6 @@ def mean_average_precision(query_codes, query_labels, base_codes, base_labels,
     if valid.size == 0:
         raise ValueError("no query has a relevant base item")
     return float(valid.mean())
-
-
-def precision_at(query_codes, query_labels, base_codes, base_labels,
-                 ks: Sequence[int]) -> list[tuple[int, float]]:
-    _, valid, per_query = _score(query_codes, query_labels, base_codes,
-                                 base_labels, None, ks)
-    return _precisions(ks, per_query, valid)
 
 
 def per_label_breakdown(aps: np.ndarray, query_labels: np.ndarray,
@@ -204,8 +193,12 @@ def evaluate(direction: str, query_codes, query_labels, base_codes,
              base_labels, label_counts: np.ndarray, head_count: int,
              ks: Sequence[int] = (10, 50, 100), topR: Optional[int] = None,
              variant: str = "full") -> EvalReport:
-    """Full retrieval evaluation in one direction."""
+    """Full retrieval evaluation in one direction; the head is the first
+    head_count (0..c) labels by descending count."""
     start = time.perf_counter()
+    c = np.shape(query_labels)[1]
+    if not 0 <= head_count <= c:
+        raise ValueError(f"head count must be in 0..{c}, got {head_count}")
     # one ranking serves both AP and precision@k
     aps, valid, per_query = _score(query_codes, query_labels, base_codes,
                                    base_labels, topR, ks)
@@ -217,7 +210,8 @@ def evaluate(direction: str, query_codes, query_labels, base_codes,
     return EvalReport(
         direction=direction,
         map=float(aps[valid].mean()),
-        precision_at=_precisions(ks, per_query, valid),
+        precision_at=[(int(k), float(p[valid].mean()))
+                      for k, p in zip(ks, per_query)],
         per_label_map=per_label,
         head_tail_split_index=int(head_count),
         head_map=head_map,

@@ -371,9 +371,3 @@ def emit_report(report: EvalReport, fmt: str, path) -> None:
     else:
         raise ValueError("format must be 'json' or 'csv'")
 
-
-def load_report_json(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise FormatVersionError(f"{path}: unexpected format_version")
-    return doc

@@ -3,7 +3,8 @@
 Each suite returns (name, passed, detail). The oracles here are coded
 independently of the library paths they check: expanded double sums, brute
 force enumeration, quadratic-time ranking walks and central finite
-differences.
+differences. Their helpers live here too and nowhere else: finite
+differences over flat parameter views of a net, and the composed HSIC path.
 """
 
 from __future__ import annotations
@@ -29,6 +30,51 @@ def _maybe_bug(g: np.ndarray, bug: bool) -> np.ndarray:
     return g + 1e-2 if bug else g
 
 
+# -- central finite differences over flat parameter vectors --
+
+def finite_diff_grad(fn: Callable[[np.ndarray], float], point: np.ndarray,
+                     eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function, per coordinate."""
+    point = np.asarray(point, dtype=np.float64)
+    grad = np.zeros_like(point)
+    it = np.nditer(point, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        p = point.copy()
+        p[idx] += eps
+        f_plus = fn(p)
+        p[idx] -= 2 * eps
+        f_minus = fn(p)
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise nn.NumericsError(
+                "non-finite function value in finite_diff_grad")
+        grad[idx] = (f_plus - f_minus) / (2 * eps)
+    return grad
+
+
+def get_flat(mlp: nn.Mlp) -> np.ndarray:
+    return np.concatenate([np.concatenate([l.weight.ravel(), l.bias])
+                           for l in mlp.layers])
+
+
+def set_flat(mlp: nn.Mlp, vec: np.ndarray) -> None:
+    pos = 0
+    for layer in mlp.layers:
+        nw = layer.weight.size
+        layer.weight = vec[pos:pos + nw].reshape(layer.weight.shape).copy()
+        pos += nw
+        nb = layer.bias.size
+        layer.bias = vec[pos:pos + nb].copy()
+        pos += nb
+    if pos != vec.size:
+        raise ValueError("flat vector length does not match net")
+
+
+def flat_grads(grads: list) -> np.ndarray:
+    return np.concatenate([np.concatenate([dw.ravel(), db])
+                           for dw, db in grads])
+
+
 def check_mlp_gradients(seed: int = 0, trials: int = 5, bug: bool = False):
     """Analytic backprop vs finite differences on random small nets."""
     rng = np.random.default_rng(seed)
@@ -39,18 +85,44 @@ def check_mlp_gradients(seed: int = 0, trials: int = 5, bug: bool = False):
         x = rng.standard_normal((dims[0], 4))
 
         def loss_at(vec):
-            nn.set_flat(net, vec)
+            set_flat(net, vec)
             out, _ = nn.forward(net, x)
             return 0.5 * float(np.sum(out ** 2))
 
-        theta = nn.get_flat(net)
+        theta = get_flat(net)
         out, tape = nn.forward(net, x)
         grads, _ = nn.backward(net, tape, out)
-        analytic = _maybe_bug(nn.flat_grads(grads), bug)
-        numeric = nn.finite_diff_grad(loss_at, theta)
-        nn.set_flat(net, theta)
+        analytic = _maybe_bug(flat_grads(grads), bug)
+        numeric = finite_diff_grad(loss_at, theta)
+        set_flat(net, theta)
         worst = max(worst, _rel_err(analytic, numeric))
     return ("mlp_gradients", worst <= REL_TOL, f"worst rel err {worst:.2e}")
+
+
+# -- the composed HSIC path: hsic_value(rbf_kernel(P, bandwidth(P)), ...) --
+
+def bandwidth(P: np.ndarray) -> float:
+    """Mean off-diagonal pairwise squared distance, floored."""
+    return hsic._mean_offdiagonal(hsic.pairwise_sq_dists(P))
+
+
+def rbf_kernel(P: np.ndarray, sigma: float) -> np.ndarray:
+    """K_ab = exp(-||P_a - P_b||^2 / sigma) over rows of P."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    return np.exp(-hsic.pairwise_sq_dists(P) / sigma)
+
+
+def hsic_value(Kx: np.ndarray, Ky: np.ndarray) -> float:
+    """(n-1)^(-2) tr(Kx A Ky A) with A = I - ee^T/n."""
+    Kx = np.asarray(Kx, dtype=np.float64)
+    Ky = np.asarray(Ky, dtype=np.float64)
+    n = Kx.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    KxC = Kx - Kx.mean(axis=1, keepdims=True)       # Kx A
+    KyC = Ky - Ky.mean(axis=1, keepdims=True)       # Ky A
+    return float(np.sum(KxC * KyC.T) / (n - 1) ** 2)
 
 
 def hsic_expanded_oracle(Px: np.ndarray, Py: np.ndarray,
@@ -104,10 +176,10 @@ def check_hsic(seed: int = 0, trials: int = 20, bug: bool = False):
 
     def fused(Px, Py):
         nonlocal exact
-        sx, sy = hsic.bandwidth(Px), hsic.bandwidth(Py)
+        sx, sy = bandwidth(Px), bandwidth(Py)
         val, gx, gy = hsic.hsic_value_and_grad(Px, Py)
-        exact = exact and val == hsic.hsic_value(hsic.rbf_kernel(Px, sx),
-                                                 hsic.rbf_kernel(Py, sy))
+        exact = exact and val == hsic_value(rbf_kernel(Px, sx),
+                                            rbf_kernel(Py, sy))
         return sx, sy, val, _maybe_bug(gx, bug), gy
 
     for _ in range(trials):
@@ -117,12 +189,10 @@ def check_hsic(seed: int = 0, trials: int = 20, bug: bool = False):
         Py = rng.standard_normal((n, d))
         sx, sy, val, gx, gy = fused(Px, Py)
         worst_val = max(worst_val, abs(val - hsic_expanded_oracle(Px, Py, sx, sy)))
-        fx = nn.finite_diff_grad(
-            lambda P: hsic.hsic_value(hsic.rbf_kernel(P, sx),
-                                      hsic.rbf_kernel(Py, sy)), Px)
-        fy = nn.finite_diff_grad(
-            lambda P: hsic.hsic_value(hsic.rbf_kernel(Px, sx),
-                                      hsic.rbf_kernel(P, sy)), Py)
+        fx = finite_diff_grad(
+            lambda P: hsic_value(rbf_kernel(P, sx), rbf_kernel(Py, sy)), Px)
+        fy = finite_diff_grad(
+            lambda P: hsic_value(rbf_kernel(Px, sx), rbf_kernel(P, sy)), Py)
         worst_grad = max(worst_grad, _rel_err(gx, fx), _rel_err(gy, fy))
 
     for n in (2, 3, 128, 129):
@@ -262,12 +332,12 @@ def check_loss1_gradients(seed: int = 0, trials: int = 3, bug: bool = False):
         _, _, grads = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y,
                                         alpha, beta)
         for name, net in icae.nets().items():
-            theta = nn.get_flat(net)
+            theta = get_flat(net)
             # bandwidths are pinned at the base point: the analytic gradient
             # deliberately does not differentiate through sigma
             numeric = _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y,
                                                 alpha, beta, net, theta)
-            analytic = _maybe_bug(nn.flat_grads(grads[name]), bug)
+            analytic = _maybe_bug(flat_grads(grads[name]), bug)
             worst = max(worst, _rel_err(analytic, numeric))
     return ("loss1_gradients", worst <= REL_TOL, f"worst rel err {worst:.2e}")
 
@@ -277,25 +347,24 @@ def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, alpha, beta,
     """Central differences of Loss1 over one net's parameters with the HSIC
     bandwidths pinned at their base-point values (matching the analytic
     stop-gradient through sigma)."""
-    codes0 = autoencoder.encode(icae, Fx, Fy)
-    sx = hsic.bandwidth(codes0.Px)
-    sy = hsic.bandwidth(codes0.Py)
+    codes0, _ = autoencoder.encode(icae, Fx, Fy)
+    sx = bandwidth(codes0.Px)
+    sy = bandwidth(codes0.Py)
 
     def value_at(vec):
-        nn.set_flat(net, vec)
-        codes = autoencoder.encode(icae, Fx, Fy)
+        set_flat(net, vec)
+        codes, _ = autoencoder.encode(icae, Fx, Fy)
         present = np.flatnonzero(np.asarray(L).sum(axis=0) > 0)
         W = affinity.pooling_matrix(np.asarray(L)[:, present])
         prot = codes.Cstar.T @ W
         j1, _ = affinity.j1_trace(prot, aff_x.restrict(present).laplacian
                                   + aff_y.restrict(present).laplacian)
-        j2 = hsic.hsic_value(hsic.rbf_kernel(codes.Px, sx),
-                             hsic.rbf_kernel(codes.Py, sy))
+        j2 = hsic_value(rbf_kernel(codes.Px, sx), rbf_kernel(codes.Py, sy))
         j3, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
-        nn.set_flat(net, theta)
+        set_flat(net, theta)
         return alpha * j1 + beta * j2 + j3
 
-    return nn.finite_diff_grad(value_at, theta)
+    return finite_diff_grad(value_at, theta)
 
 
 def check_loss2_gradients(seed: int = 0, trials: int = 10, bug: bool = False):
@@ -313,9 +382,9 @@ def check_loss2_gradients(seed: int = 0, trials: int = 10, bug: bool = False):
         B = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
         gx = _maybe_bug(hashing.grad_meta(Mx, My, S, B, gamma, eta), bug)
         gy = hashing.grad_meta(My, Mx, S.T, B, gamma, eta)
-        fx = nn.finite_diff_grad(
+        fx = finite_diff_grad(
             lambda M: hashing.loss2(M, My, S, B, gamma, eta)[0], Mx)
-        fy = nn.finite_diff_grad(
+        fy = finite_diff_grad(
             lambda M: hashing.loss2(Mx, M, S, B, gamma, eta)[0], My)
         worst = max(worst, _rel_err(gx, fx), _rel_err(gy, fy))
     return ("loss2_gradients", worst <= REL_TOL, f"worst rel err {worst:.2e}")

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from tailhash import affinity, nn, verify
+from tailhash import affinity, verify
 
 
 # ------------------------------------------------------------ pair_similarity
@@ -192,7 +192,7 @@ def test_j1_gradient_matches_finite_differences():
     aff_y = _random_affinity(rng, 4)
     C = rng.standard_normal((3, 4))
     _, grad = affinity.j1_trace(C, aff_x.laplacian + aff_y.laplacian)
-    numeric = nn.finite_diff_grad(
+    numeric = verify.finite_diff_grad(
         lambda M: affinity.j1_trace(M, aff_x.laplacian + aff_y.laplacian)[0],
         C)
     np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)

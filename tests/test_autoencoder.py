@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tailhash import affinity, autoencoder, datagen, experiment, nn
+from tailhash.verify import finite_diff_grad, flat_grads, get_flat, set_flat
 
 
 def _tiny_icae(rng, d=3, k=2):
@@ -30,16 +31,16 @@ def test_encode_zero_weight_encoders_give_zero_codes():
         for layer in net.layers:
             layer.weight[:] = 0.0
             layer.bias[:] = 0.0
-    codes = autoencoder.encode(icae, rng.standard_normal((4, 3)),
-                               rng.standard_normal((4, 3)))
+    codes, _ = autoencoder.encode(icae, rng.standard_normal((4, 3)),
+                                  rng.standard_normal((4, 3)))
     assert not codes.Px.any() and not codes.Py.any() and not codes.Cstar.any()
 
 
 def test_encode_shapes():
     rng = np.random.default_rng(1)
     icae = autoencoder.init_icae(10, 8, 16, rng)
-    codes = autoencoder.encode(icae, rng.standard_normal((5, 10)),
-                               rng.standard_normal((5, 8)))
+    codes, _ = autoencoder.encode(icae, rng.standard_normal((5, 10)),
+                                  rng.standard_normal((5, 8)))
     for arr in (codes.Px, codes.Py, codes.Cstar):
         assert arr.shape == (5, 16)
 
@@ -49,8 +50,8 @@ def test_encode_deterministic_replay():
     icae = _tiny_icae(rng)
     Fx = rng.standard_normal((4, 3))
     Fy = rng.standard_normal((4, 3))
-    a = autoencoder.encode(icae, Fx, Fy)
-    b = autoencoder.encode(icae, Fx, Fy)
+    a, _ = autoencoder.encode(icae, Fx, Fy)
+    b, _ = autoencoder.encode(icae, Fx, Fy)
     np.testing.assert_array_equal(a.Cstar, b.Cstar)
     np.testing.assert_array_equal(a.Px, b.Px)
 
@@ -73,6 +74,14 @@ def test_encode_dropped_modality_zeroes_block():
     np.testing.assert_array_equal(
         dropped, autoencoder._common_input(Fx, np.zeros_like(Fy), None))
     np.testing.assert_array_equal(dropped[:3], Fx.T)
+    # only the commonality encoder sees the dropout; the individuality
+    # encoders read both modalities as given
+    codes, tapes = autoencoder.encode(icae, Fx, Fy, drop="y")
+    zeroed, _ = autoencoder.encode(icae, Fx, np.zeros_like(Fy))
+    full, _ = autoencoder.encode(icae, Fx, Fy)
+    np.testing.assert_array_equal(codes.Cstar, zeroed.Cstar)
+    np.testing.assert_array_equal(codes.Py, full.Py)
+    np.testing.assert_array_equal(tapes["enc_common"][0][0], dropped)
     L = _labels(4, 2)
     aff = affinity.label_affinity(Fx, L)
     with pytest.raises(ValueError):
@@ -90,7 +99,7 @@ def test_calibration_standardizes_codes():
     Yb = rng.standard_normal((40, 3))
     autoencoder.calibrate(icae, Xb, Yb, _labels(40, 2))
     cal = icae.calibration
-    codes = autoencoder.encode(icae, Xb, Yb)
+    codes, _ = autoencoder.encode(icae, Xb, Yb)
     Px = _standardized(cal["x"], codes.Px)
     Py = _standardized(cal["y"], codes.Py)
     for arr in (Px, Py):
@@ -119,8 +128,8 @@ def test_calibration_matches_single_modality_encodings():
 
     rms = lambda a: np.maximum(np.sqrt(np.mean(a ** 2, axis=0)),
                                autoencoder.SCALE_FLOOR)
-    only_x = autoencoder.encode(icae, Xb, np.zeros_like(Yb))
-    only_y = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
+    only_x, _ = autoencoder.encode(icae, Xb, np.zeros_like(Yb))
+    only_y, _ = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
     for mod, P, C in (("x", only_x.Px, only_x.Cstar),
                       ("y", only_y.Py, only_y.Cstar)):
         cal = icae.calibration[mod]
@@ -161,7 +170,7 @@ def test_build_memory_weights_and_scale():
     # a label is claimed by at most one modality's memory
     assert np.all(np.minimum(mx.weights, my.weights) == 0.0)
     # the recall of the standardized codes has unit RMS over the base split
-    codes = autoencoder.encode(icae, Xb, Yb)
+    codes, _ = autoencoder.encode(icae, Xb, Yb)
     for cal, P in ((mx, codes.Px), (my, codes.Py)):
         rms = np.sqrt(np.mean(autoencoder.recall(cal, _standardized(cal, P))
                               ** 2))
@@ -179,7 +188,7 @@ def test_hash_codes_match_single_modality_encoding():
     cal = icae.calibration["y"]
     # the unscaled codes of a full encoding with the x block zeroed,
     # standardized with the y-only commonality scale
-    only_y = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
+    only_y, _ = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
     C, I = autoencoder.hash_codes(icae, "y", Yb)
     np.testing.assert_array_equal(C, only_y.Cstar / cal.common_scale)
     np.testing.assert_array_equal(
@@ -203,7 +212,7 @@ def test_reconstruction_loss_zero_when_decoder_exact():
             np.hstack([np.zeros((d, k)), np.eye(d)]), np.zeros(d))]))
     Fx = rng.standard_normal((5, d))
     Fy = rng.standard_normal((5, d))
-    codes = autoencoder.encode(icae, Fx, Fy)
+    codes, _ = autoencoder.encode(icae, Fx, Fy)
     value, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
     assert value == pytest.approx(0.0, abs=1e-20)
 
@@ -213,7 +222,7 @@ def test_reconstruction_loss_quadratic_scaling():
     icae = _tiny_icae(rng)
     Fx = rng.standard_normal((4, 3))
     Fy = rng.standard_normal((4, 3))
-    codes = autoencoder.encode(icae, Fx, Fy)
+    codes, _ = autoencoder.encode(icae, Fx, Fy)
     v1, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
     # doubling every residual quadruples the loss: with the codes held
     # fixed, targets F' = 2F - dec(codes) have residuals 2(dec - F)
@@ -236,19 +245,19 @@ def test_reconstruction_gradient_matches_finite_differences():
     icae = _tiny_icae(rng)
     Fx = rng.standard_normal((4, 3))
     Fy = rng.standard_normal((4, 3))
-    codes = autoencoder.encode(icae, Fx, Fy)
+    codes, _ = autoencoder.encode(icae, Fx, Fy)
     _, grads = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
     net = icae.dec_x
-    theta = nn.get_flat(net)
+    theta = get_flat(net)
 
     def value_at(vec):
-        nn.set_flat(net, vec)
+        set_flat(net, vec)
         v, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
-        nn.set_flat(net, theta)
+        set_flat(net, theta)
         return v
 
-    numeric = nn.finite_diff_grad(value_at, theta)
-    analytic = nn.flat_grads(grads["dec_x"])
+    numeric = finite_diff_grad(value_at, theta)
+    analytic = flat_grads(grads["dec_x"])
     err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric),
                                                    1e-12)
     assert err <= 1e-4
@@ -265,7 +274,7 @@ def test_loss1_reduces_to_j3_when_alpha_beta_zero():
     aff_y = affinity.label_affinity(Fy, L)
     value, parts, _ = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y,
                                         0.0, 0.0)
-    codes = autoencoder.encode(icae, Fx, Fy)
+    codes, _ = autoencoder.encode(icae, Fx, Fy)
     j3, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
     assert value == pytest.approx(j3, abs=1e-12)
     assert parts["j3"] == pytest.approx(j3, abs=1e-12)
@@ -308,13 +317,13 @@ def test_train_ae_zero_epochs_keeps_params():
     rng = np.random.default_rng(11)
     ds = _tiny_dataset()
     icae = autoencoder.init_icae(6, 5, 4, rng)
-    before = {name: nn.get_flat(net).copy()
+    before = {name: get_flat(net).copy()
               for name, net in icae.nets().items()}
     _, trace = autoencoder.train_ae(
         ds, icae, experiment.RunConfig(batch_size=8, max_epochs=0))
     assert trace == []
     for name, net in icae.nets().items():
-        np.testing.assert_array_equal(nn.get_flat(net), before[name])
+        np.testing.assert_array_equal(get_flat(net), before[name])
 
 
 def test_train_ae_trace_length_and_loss_decrease():
@@ -351,7 +360,7 @@ def test_train_ae_deterministic():
         _, trace = autoencoder.train_ae(
             ds, icae, experiment.RunConfig(batch_size=8, max_epochs=5,
                                            seed=3))
-        results.append((nn.get_flat(icae.enc_common).copy(), trace))
+        results.append((get_flat(icae.enc_common).copy(), trace))
     np.testing.assert_array_equal(results[0][0], results[1][0])
     assert results[0][1] == results[1][1]
 
@@ -391,13 +400,18 @@ def test_loss1_follows_float32_input():
         L.astype(np.float32), *affs, 0.3, 0.7, drop="y")
     assert all(g.dtype == np.float32
                for grads in g32.values() for pair in grads for g in pair)
+    # the shared encoder pass keeps float32 codes: nothing widens phase 1
+    codes32, _ = autoencoder.encode(icae32, Fx.astype(np.float32),
+                                    Fy.astype(np.float32), drop="x")
+    assert all(a.dtype == np.float32
+               for a in (codes32.Px, codes32.Py, codes32.Cstar))
     v32, _, g32 = autoencoder.loss1(
         icae32, Fx.astype(np.float32), Fy.astype(np.float32),
         L.astype(np.float32), *affs, 0.3, 0.7)
     assert v32 == pytest.approx(v64, rel=1e-5)
     for name in g64:
-        np.testing.assert_allclose(nn.flat_grads(g32[name]),
-                                   nn.flat_grads(g64[name]),
+        np.testing.assert_allclose(flat_grads(g32[name]),
+                                   flat_grads(g64[name]),
                                    rtol=1e-3, atol=1e-5)
 
 
@@ -410,8 +424,8 @@ def test_loss1_laplacian_memo_is_bit_identical():
                                            laplacians=memo)
         assert vm == v and partsm == parts
         for name in g:
-            np.testing.assert_array_equal(nn.flat_grads(gm[name]),
-                                          nn.flat_grads(g[name]))
+            np.testing.assert_array_equal(flat_grads(gm[name]),
+                                          flat_grads(g[name]))
     assert len(memo) == 1
     (lap,) = memo.values()
     assert lap.shape == (2, 2)

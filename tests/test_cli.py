@@ -229,7 +229,8 @@ def test_encode_and_eval_pipeline(tmp_path, capsys):
                     "--dataset", str(data / "dataset"),
                     "--direction", "i2t", "--out", str(out)])
     assert code == 0
-    doc = store.load_report_json(out / "report_i2t.json")
+    doc = json.loads((out / "report_i2t.json").read_text())
+    assert doc["format_version"] == store.FORMAT_VERSION
     assert 0.0 <= doc["map"] <= 1.0
     assert (out / "report_i2t.csv").exists()
 
@@ -261,6 +262,44 @@ def test_eval_rejects_bad_direction(tmp_path):
                     "--dataset", str(data / "dataset"),
                     "--direction", "sideways", "--out", str(tmp_path / "ev")])
     assert code == 1
+
+
+def _eval_argv(tmp_path, data, run, *flags):
+    qx = _encode(tmp_path, data, run, "x", "query", "e1")
+    by = _encode(tmp_path, data, run, "y", "base", "e2")
+    return ["eval", "--query-codes", str(qx), "--base-codes", str(by),
+            "--dataset", str(data / "dataset"), "--direction", "i2t",
+            "--out", str(tmp_path / "ev"), *flags]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--top-r", "0"), ("--top-r", "-1"), ("--head-count", "-3"),
+    ("--head-count", "5")],
+    ids=["top_r_0", "top_r_negative", "head_count_negative",
+         "head_count_above_c"])
+def test_eval_rejects_out_of_range_ranking_flags(tmp_path, capsys, flag,
+                                                 value):
+    data = _gen(tmp_path)           # c = 4
+    argv = _eval_argv(tmp_path, data, _train(tmp_path, data), flag, value)
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "ev" / "report_i2t.json").exists()
+
+
+@pytest.mark.parametrize("head", [0, 4])
+def test_eval_head_count_takes_explicit_bounds(tmp_path, head):
+    # an explicit 0 is a head of no labels, not the c // 2 default
+    data = _gen(tmp_path)
+    argv = _eval_argv(tmp_path, data, _train(tmp_path, data),
+                      "--head-count", str(head), "--top-r", "1")
+    assert run_cli(argv) == 0
+    doc = json.loads((tmp_path / "ev" / "report_i2t.json").read_text())
+    assert doc["head_tail_split_index"] == head
+    assert (doc["head_map"] is None) == (head == 0)
+    assert (doc["tail_map"] is None) == (head == 4)
 
 
 @pytest.mark.parametrize("query, base, wrong", [
@@ -450,22 +489,54 @@ def test_ablate_writes_all_variant_reports(tmp_path):
     assert set(summary) == expected
     for name in expected:
         for direction in ("i2t", "t2i"):
-            doc = store.load_report_json(out / f"report_{name}_{direction}.json")
+            doc = json.loads(
+                (out / f"report_{name}_{direction}.json").read_text())
+            assert doc["format_version"] == store.FORMAT_VERSION
             assert doc["variant"] == name
             assert doc["direction"] == direction
 
 
+@pytest.mark.parametrize("head", ["-1", "5"])
+def test_ablate_rejects_out_of_range_head_count_before_training(
+        tmp_path, capsys, monkeypatch, head):
+    data = _gen(tmp_path)           # c = 4
+    capsys.readouterr()
+
+    def phase1(*args):
+        raise AssertionError("phase 1 ran")
+    monkeypatch.setattr(cli.experiment, "train_phase1", phase1)
+    code = run_cli(["ablate", "--dataset", str(data / "dataset"),
+                    "--out", str(tmp_path / "ab"), "--head-count", head])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--head-count" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------- check-grad
+
+SUITES = ("mlp_gradients", "hsic_value_and_grad", "j1_dual_form",
+          "label_affinity_oracle", "loss1_gradients", "loss2_gradients",
+          "sign_update_optimality", "map_oracle")
+
+
+def _suite_verdicts(out):
+    """Suite name -> PASS or FAIL, from check-grad's output lines."""
+    return {line.split()[1].rstrip(":"): line.split()[0]
+            for line in out.strip().splitlines()}
+
 
 def test_check_grad_passes(capsys):
     assert run_cli(["check-grad", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert "FAIL" not in out and "PASS" in out
+    assert _suite_verdicts(out) == dict.fromkeys(SUITES, "PASS")
 
 
 def test_check_grad_inject_bug_fails(capsys):
+    # every suite can fail: each perturbs what it checks under the bug
     assert run_cli(["check-grad", "--seed", "0", "--inject-bug"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert _suite_verdicts(out) == dict.fromkeys(SUITES, "FAIL")
 
 
 def test_train_diverging_phase_one_is_one_line_runtime_error(tmp_path,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tailhash import autoencoder, datagen, experiment, hashing, nn
-from tailhash.verify import check_sign_update
+from tailhash.verify import check_sign_update, finite_diff_grad, get_flat
 
 
 def test_phi_orthogonal_columns():
@@ -110,9 +110,9 @@ def test_grad_matches_finite_differences():
         B = np.where(rng.random((k, n)) < 0.5, 1.0, -1.0)
         gx = hashing.grad_meta(Mx, My, S, B, gamma, eta)
         gy = hashing.grad_meta(My, Mx, S.T, B, gamma, eta)
-        fx = nn.finite_diff_grad(
+        fx = finite_diff_grad(
             lambda M: hashing.loss2(M, My, S, B, gamma, eta)[0], Mx)
-        fy = nn.finite_diff_grad(
+        fy = finite_diff_grad(
             lambda M: hashing.loss2(Mx, M, S, B, gamma, eta)[0], My)
         for analytic, numeric in ((gx, fx), (gy, fy)):
             err = np.linalg.norm(analytic - numeric) / max(
@@ -185,11 +185,11 @@ def _small_setup(seed=0):
 
 def test_train_hash_zero_epochs():
     ds, icae, side = _small_setup()
-    before = nn.get_flat(side.x.projector).copy()
+    before = get_flat(side.x.projector).copy()
     cfg = experiment.RunConfig(batch_size=16, max_epochs=0)
     side, B, trace = hashing.train_hash(ds, icae, side, cfg)
     assert trace == []
-    np.testing.assert_array_equal(nn.get_flat(side.x.projector), before)
+    np.testing.assert_array_equal(get_flat(side.x.projector), before)
     # B comes from the initial parameters and is exactly binary
     assert set(np.unique(B)) <= {-1.0, 1.0}
     assert B.shape == (4, ds.base_indices.size)
@@ -229,11 +229,11 @@ def test_train_hash_deterministic():
 
 def test_train_hash_frozen_autoencoder():
     ds, icae, side = _small_setup(4)
-    before = {name: nn.get_flat(net).copy() for name, net in icae.nets().items()}
+    before = {name: get_flat(net).copy() for name, net in icae.nets().items()}
     cfg = experiment.RunConfig(batch_size=16, max_epochs=2, seed=4)
     hashing.train_hash(ds, icae, side, cfg)
     for name, net in icae.nets().items():
-        np.testing.assert_array_equal(nn.get_flat(net), before[name])
+        np.testing.assert_array_equal(get_flat(net), before[name])
 
 
 def test_variant_flags():
@@ -252,8 +252,10 @@ def test_wo_ic_variant_equals_selectors_forced_zero():
     # the wo_ic ablation must equal the full formula with both terms zeroed
     ds, icae, side = _small_setup(5)
     Xb, Yb, _ = ds.base()
-    Mx, My, B = hashing.full_base_codes(ds, icae, side,
-                                        hashing.VARIANTS["wo_ic"])
+    wo_ic = hashing.VARIANTS["wo_ic"]
+    Mx, My, B = hashing.full_base_codes(
+        side, Xb, Yb, (hashing.modality_codes(icae, "x", Xb, wo_ic),
+                       hashing.modality_codes(icae, "y", Yb, wo_ic)))
     Fx, _ = nn.forward(side.x.projector, Xb.T)
     Fy, _ = nn.forward(side.y.projector, Yb.T)
     np.testing.assert_array_equal(Mx, Fx)

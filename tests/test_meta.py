@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailhash import meta, nn
+from tailhash.verify import finite_diff_grad, flat_grads, get_flat, set_flat
 
 
 def _side(rng, raw_dim=6, k=3):
@@ -77,18 +78,18 @@ def test_selector_gradient_matches_finite_differences():
     C = rng.standard_normal((4, 3))
     I = rng.standard_normal((4, 3))
     net = side.selector1
-    theta = nn.get_flat(net)
+    theta = get_flat(net)
 
     def loss_at(vec):
-        nn.set_flat(net, vec)
+        set_flat(net, vec)
         E1 = meta.meta_forward(side, raw, C, I).E1
-        nn.set_flat(net, theta)
+        set_flat(net, theta)
         return float(np.sum(E1))
 
     fwd = meta.meta_forward(side, raw, C, I)
     grads, _ = nn.backward(net, fwd.sel1_tape, np.ones_like(fwd.E1.T))
-    numeric = nn.finite_diff_grad(loss_at, theta)
-    np.testing.assert_allclose(nn.flat_grads(grads), numeric,
+    numeric = finite_diff_grad(loss_at, theta)
+    np.testing.assert_allclose(flat_grads(grads), numeric,
                                rtol=1e-5, atol=1e-8)
 
 
@@ -158,16 +159,16 @@ def test_meta_backward_matches_finite_differences():
 
     for part in ("projector", "selector1"):
         net = getattr(side, part)
-        theta = nn.get_flat(net)
+        theta = get_flat(net)
 
         def loss_at(vec):
-            nn.set_flat(net, vec)
+            set_flat(net, vec)
             f = meta.meta_forward(side, raw, C, P)
-            nn.set_flat(net, theta)
+            set_flat(net, theta)
             return float(np.sum(upstream * f.M))
 
-        numeric = nn.finite_diff_grad(loss_at, theta)
-        analytic = nn.flat_grads(grads[part])
+        numeric = finite_diff_grad(loss_at, theta)
+        analytic = flat_grads(grads[part])
         err = np.linalg.norm(analytic - numeric) / max(
             np.linalg.norm(numeric), 1e-12)
         assert err <= 1e-4, part
@@ -189,5 +190,5 @@ def test_meta_backward_respects_ablation_flags():
     # equals that of the bare direct-feature path
     out, tape = nn.forward(side.projector, raw.T)
     bare, _ = nn.backward(side.projector, tape, np.ones_like(out))
-    np.testing.assert_allclose(nn.flat_grads(grads["projector"]),
-                               nn.flat_grads(bare), atol=1e-14)
+    np.testing.assert_allclose(flat_grads(grads["projector"]),
+                               flat_grads(bare), atol=1e-14)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tailhash import nn
+from tailhash.verify import finite_diff_grad, flat_grads, get_flat, set_flat
 
 
 def test_forward_identity_layer():
@@ -67,16 +68,16 @@ def test_backward_matches_finite_differences(activation):
     x = rng.standard_normal((3, 4)) + 0.1
 
     def loss_at(theta):
-        nn.set_flat(net, theta)
+        set_flat(net, theta)
         out, _ = nn.forward(net, x)
         return 0.5 * float(np.sum(out ** 2))
 
-    theta = nn.get_flat(net)
+    theta = get_flat(net)
     out, tape = nn.forward(net, x)
     grads, _ = nn.backward(net, tape, out)
-    analytic = nn.flat_grads(grads)
-    numeric = nn.finite_diff_grad(loss_at, theta)
-    nn.set_flat(net, theta)
+    analytic = flat_grads(grads)
+    numeric = finite_diff_grad(loss_at, theta)
+    set_flat(net, theta)
     assert np.linalg.norm(analytic - numeric) <= 1e-4 * max(
         np.linalg.norm(numeric), 1e-12)
 
@@ -92,7 +93,7 @@ def test_backward_input_gradient_matches_finite_differences():
 
     out, tape = nn.forward(net, x)
     _, dx = nn.backward(net, tape, out)
-    numeric = nn.finite_diff_grad(loss_at, x)
+    numeric = finite_diff_grad(loss_at, x)
     np.testing.assert_allclose(dx, numeric, rtol=1e-5, atol=1e-8)
 
 
@@ -111,9 +112,9 @@ def test_backward_without_input_gradient_keeps_parameter_grads():
 def test_sgd_zero_lr_keeps_params():
     rng = np.random.default_rng(5)
     net = nn.init_mlp([2, 3], rng)
-    before = nn.get_flat(net).copy()
+    before = get_flat(net).copy()
     nn.sgd_step(net, [(np.ones((3, 2)), np.ones(3))], 0.0)
-    np.testing.assert_array_equal(nn.get_flat(net), before)
+    np.testing.assert_array_equal(get_flat(net), before)
 
 
 def test_sgd_arithmetic():
@@ -144,19 +145,19 @@ def test_sgd_rejects_nonfinite_gradient():
 
 
 def test_finite_diff_quadratic():
-    g = nn.finite_diff_grad(lambda x: float(x[0] ** 2), np.array([3.0]))
+    g = finite_diff_grad(lambda x: float(x[0] ** 2), np.array([3.0]))
     assert abs(g[0] - 6.0) <= 1e-6
 
 
 def test_finite_diff_constant():
-    g = nn.finite_diff_grad(lambda x: 1.0, np.arange(4.0))
+    g = finite_diff_grad(lambda x: 1.0, np.arange(4.0))
     assert np.array_equal(g, np.zeros(4))
 
 
 def test_finite_diff_tanh_closed_form():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(5)
-    g = nn.finite_diff_grad(lambda v: float(np.sum(np.tanh(v))), x)
+    g = finite_diff_grad(lambda v: float(np.sum(np.tanh(v))), x)
     np.testing.assert_allclose(g, 1.0 - np.tanh(x) ** 2, atol=1e-6)
 
 
@@ -202,27 +203,27 @@ def test_layer_dimension_chain_validated():
 
 
 def test_init_is_deterministic_per_seed():
-    a = nn.get_flat(nn.init_mlp([3, 4, 2], np.random.default_rng(11)))
-    b = nn.get_flat(nn.init_mlp([3, 4, 2], np.random.default_rng(11)))
+    a = get_flat(nn.init_mlp([3, 4, 2], np.random.default_rng(11)))
+    b = get_flat(nn.init_mlp([3, 4, 2], np.random.default_rng(11)))
     np.testing.assert_array_equal(a, b)
 
 
 def test_flat_roundtrip():
     rng = np.random.default_rng(12)
     net = nn.init_mlp([3, 4, 2], rng)
-    theta = nn.get_flat(net)
-    nn.set_flat(net, theta * 2.0)
-    np.testing.assert_array_equal(nn.get_flat(net), theta * 2.0)
+    theta = get_flat(net)
+    set_flat(net, theta * 2.0)
+    np.testing.assert_array_equal(get_flat(net), theta * 2.0)
 
 
 def test_sgd_rejects_nan_in_one_bias_gradient_before_any_step():
     net = nn.init_mlp([3, 4, 2], np.random.default_rng(1))
-    before = nn.get_flat(net).copy()
+    before = get_flat(net).copy()
     grads = [(np.ones((4, 3)), np.ones(4)),
              (np.ones((2, 4)), np.array([0.5, np.nan]))]
     with pytest.raises(nn.NumericsError, match="bias gradient"):
         nn.sgd_step(net, grads, 0.1)
-    np.testing.assert_array_equal(nn.get_flat(net), before)
+    np.testing.assert_array_equal(get_flat(net), before)
 
 
 def test_sgd_steps_on_finite_gradients_whose_sum_overflows():
@@ -253,7 +254,7 @@ def test_forward_backward_follow_float32_input():
     grads, dx = nn.backward(net, tape, up)
     assert out.dtype == np.float64 and dx.dtype == np.float64
     np.testing.assert_allclose(out32, out, rtol=1e-5, atol=1e-6)
-    np.testing.assert_allclose(nn.flat_grads(grads32), nn.flat_grads(grads),
+    np.testing.assert_allclose(flat_grads(grads32), flat_grads(grads),
                                rtol=1e-5, atol=1e-5)
 
 
@@ -276,8 +277,8 @@ def test_backward_bits_do_not_depend_on_upstream_layout():
     _, tape = nn.forward(net, x)
     grads_c, dx_c = nn.backward(net, tape, np.ascontiguousarray(up))
     grads_f, dx_f = nn.backward(net, tape, np.asfortranarray(up))
-    np.testing.assert_array_equal(nn.flat_grads(grads_f),
-                                  nn.flat_grads(grads_c))
+    np.testing.assert_array_equal(flat_grads(grads_f),
+                                  flat_grads(grads_c))
     np.testing.assert_array_equal(dx_f, dx_c)
 
 
@@ -285,7 +286,7 @@ def test_cast_copies_and_round_trips_exactly():
     net, _, _ = _net_and_batch(np.float64)
     net32 = nn.cast(net, np.float32)
     back = nn.cast(net32, np.float64)
-    np.testing.assert_array_equal(nn.get_flat(back),
-                                  nn.get_flat(net32).astype(np.float64))
+    np.testing.assert_array_equal(get_flat(back),
+                                  get_flat(net32).astype(np.float64))
     net32.layers[0].weight[:] = 0.0
     assert net.layers[0].weight.any()

@@ -113,6 +113,22 @@ def test_map_topR_truncation():
     assert top2 == pytest.approx(1 / 2)
 
 
+@pytest.mark.parametrize("topR", [0, -1])
+def test_map_and_evaluate_reject_top_r_below_one(topR):
+    Q, Lq, D, Lb = _tied_instance()
+    with pytest.raises(ValueError, match="top R"):
+        retrieval.mean_average_precision(Q, Lq, D, Lb, topR=topR)
+    with pytest.raises(ValueError, match="top R"):
+        retrieval.evaluate("i2t", Q, Lq, D, Lb, Lb.sum(axis=0), 2, topR=topR)
+
+
+@pytest.mark.parametrize("head", [-1, 5])
+def test_evaluate_rejects_head_count_outside_labels(head):
+    Q, Lq, D, Lb = _tied_instance()             # c = 4
+    with pytest.raises(ValueError, match="head count"):
+        retrieval.evaluate("i2t", Q, Lq, D, Lb, Lb.sum(axis=0), head)
+
+
 def test_map_no_valid_queries_raises():
     Q = np.ones((2, 1))
     D = np.ones((2, 2))
@@ -127,7 +143,9 @@ def test_precision_at_counts_hits():
     D = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
     Lq = np.array([[1]], dtype=np.uint8)
     Lb = np.array([[1], [0], [1]], dtype=np.uint8)
-    out = dict(retrieval.precision_at(Q, Lq, D, Lb, ks=(1, 2, 3)))
+    report = retrieval.evaluate("i2t", Q, Lq, D, Lb, Lb.sum(axis=0), 1,
+                                ks=(1, 2, 3))
+    out = dict(report.precision_at)
     assert out[1] == pytest.approx(1.0)
     assert out[2] == pytest.approx(0.5)
     assert out[3] == pytest.approx(2 / 3)
@@ -258,8 +276,10 @@ def test_encode_query_consistent_with_training_pass():
     for variant in hashing.VARIANTS.values():
         ds, model = _trained_tiny(1, variant)
         Xb, Yb, _ = ds.base()
-        Mx, My, _ = hashing.full_base_codes(ds, model.icae, model.side,
-                                            variant)
+        Mx, My, _ = hashing.full_base_codes(
+            model.side, Xb, Yb, tuple(
+                hashing.modality_codes(model.icae, v, raw, variant)
+                for v, raw in (("x", Xb), ("y", Yb))))
         qx = retrieval.encode_query("x", Xb, model.icae, model.side, variant)
         qy = retrieval.encode_query("y", Yb, model.icae, model.side, variant)
         np.testing.assert_array_equal(qx, np.where(Mx >= 0, 1.0, -1.0),

@@ -247,7 +247,8 @@ def _report():
 def test_report_json_roundtrip(tmp_path):
     r = _report()
     store.emit_report(r, "json", tmp_path / "r.json")
-    doc = store.load_report_json(tmp_path / "r.json")
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["format_version"] == store.FORMAT_VERSION
     assert doc["map"] == r.map
     assert doc["direction"] == "i2t"
     assert doc["per_label_map"] == [0.4, None]
