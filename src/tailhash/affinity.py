@@ -24,20 +24,19 @@ BLOCK_ELEMS = 1 << 18
 
 @dataclass
 class LabelAffinity:
+    """One modality's affinity over all c labels; see j1_batch for a batch."""
     H: np.ndarray       # (c, c) average Hausdorff distances, zero diagonal
     R: np.ndarray       # (c, c) similarities exp(-H / sigma^2), in (0, 1]
-    D: np.ndarray       # (c,) degree vector, row sums of R
     sigma: float
 
     @property
     def laplacian(self) -> np.ndarray:
-        return np.diag(self.D) - self.R
+        return _laplacian(self.R)
 
-    def restrict(self, labels: np.ndarray) -> "LabelAffinity":
-        """Affinity over a label subset; degrees recomputed on the sub-block."""
-        H = self.H[np.ix_(labels, labels)]
-        R = self.R[np.ix_(labels, labels)]
-        return LabelAffinity(H, R, R.sum(axis=1), self.sigma)
+
+def _laplacian(R: np.ndarray) -> np.ndarray:
+    """D - R, with degrees D the row sums of R."""
+    return np.diag(R.sum(axis=1)) - R
 
 
 def pair_similarity(L: np.ndarray) -> np.ndarray:
@@ -79,7 +78,7 @@ def label_affinity(features: np.ndarray, L: np.ndarray) -> LabelAffinity:
     off = H[~np.eye(c, dtype=bool)]
     sigma = max(float(off.mean()) if off.size else 0.0, SIGMA_FLOOR)
     R = np.exp(-H / sigma ** 2)
-    return LabelAffinity(H, R, R.sum(axis=1), sigma)
+    return LabelAffinity(H, R, sigma)
 
 
 def _usable_cpus() -> int:
@@ -182,11 +181,31 @@ def j1_trace(prototypes: np.ndarray, lap: np.ndarray
              ) -> tuple[float, np.ndarray]:
     """tr(C lap C^T) and its gradient 2 C lap for a symmetric (c, c) lap.
 
-    Runs in the prototypes' dtype (float32 stays float32, anything else
-    becomes float64); lap is cast to it.
+    The gradient runs in the prototypes' dtype (float32 stays float32,
+    anything else becomes float64). The value is formed in float64: a
+    float32 trace cancels once the prototypes are large, even below zero.
     """
     C = nn._as_float(prototypes)
     if C.shape[1] != lap.shape[0]:
         raise ValueError("prototype columns must match label count")
     CL = C @ lap.astype(C.dtype, copy=False)
-    return float(np.sum(CL * C)), 2.0 * CL
+    C64 = C.astype(np.float64, copy=False)
+    CL64 = CL if C.dtype == np.float64 else C64 @ lap
+    return float(np.sum(CL64 * C64)), 2.0 * CL
+
+
+def j1_batch(Cs_cols: np.ndarray, L: np.ndarray, aff_x: LabelAffinity,
+             aff_y: LabelAffinity) -> tuple[float, np.ndarray]:
+    """J1 of one batch and its gradient wrt the (k, n) commonality codes.
+
+    The prototypes pool the codes over each label the (n, c) labels L
+    hold (pooling_matrix); the Laplacian sums both modalities' R restricted
+    to those labels, with degrees taken from the sub-block.
+    """
+    L = np.asarray(L)
+    present = np.flatnonzero(L.sum(axis=0) > 0)
+    W = pooling_matrix(L[:, present])                        # (n, cp)
+    sub = np.ix_(present, present)
+    lap = _laplacian(aff_x.R[sub]) + _laplacian(aff_y.R[sub])
+    value, g_prot = j1_trace(Cs_cols @ W, lap)               # (k, cp)
+    return value, g_prot @ W.T

@@ -261,39 +261,23 @@ def reconstruction_loss(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray,
 
 def loss1(params: IcaeParams, Fx: np.ndarray, Fy: np.ndarray, L: np.ndarray,
           aff_x: affinity.LabelAffinity, aff_y: affinity.LabelAffinity,
-          alpha: float, beta: float, drop: Optional[str] = None,
-          laplacians: Optional[dict] = None) -> tuple[float, dict, dict]:
+          alpha: float, beta: float, drop: Optional[str] = None
+          ) -> tuple[float, dict, dict]:
     """Full phase-1 loss alpha * J1 + beta * J2 + J3 with analytic gradients
     for all five nets.
 
     Returns (value, parts, grads) where parts has the raw J1/J2/J3 values and
     grads maps net name -> per-layer (dW, db) list. Runs in the dtype of the
     nets and features (float32 stays float32, anything else becomes
-    float64). ``laplacians``, when given, memoizes J1's summed Laplacian per
-    set of labels present in a batch; it must serve one (aff_x, aff_y) pair
-    only.
+    float64); J1's value is formed in float64 either way (affinity.j1_trace).
     """
-    if laplacians is None:
-        laplacians = {}
     Fx = nn._as_float(Fx)
     Fy = nn._as_float(Fy)
     n = Fx.shape[0]
     k = params.k
 
     codes, tapes = encode(params, Fx, Fy, drop)
-    Cs_cols = codes.Cstar.T                                  # (k, n)
-
-    # J1 on mean-pooled prototypes of the labels present in the batch
-    present = np.flatnonzero(np.asarray(L).sum(axis=0) > 0)
-    L_sub = np.asarray(L)[:, present]
-    W = affinity.pooling_matrix(L_sub)                       # (n, cp)
-    prototypes = Cs_cols @ W                                 # (k, cp)
-    key = present.tobytes()
-    if key not in laplacians:
-        laplacians[key] = (aff_x.restrict(present).laplacian
-                           + aff_y.restrict(present).laplacian)
-    j1, g_prot = affinity.j1_trace(prototypes, laplacians[key])
-    dCs_j1 = g_prot @ W.T                                    # (k, n)
+    j1, dCs_j1 = affinity.j1_batch(codes.Cstar.T, L, aff_x, aff_y)
 
     # J2 between individuality codes, batch bandwidths held constant
     if n >= 2:
@@ -338,16 +322,17 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     probability 1/2 per batch one modality's block of the commonality-encoder
     input is zeroed so that single-modality query encoding stays well
     defined. The SGD loop runs in float32, on float32 copies of the nets,
-    the features and the labels, so every term of Loss1 runs in float32;
-    after the last epoch the trained weights are written back into
-    ``params`` (float32 widens to float64 exactly), and a run that takes no
-    step leaves them as given.
+    the features and the labels, so every term of Loss1 runs in float32
+    (J1's value alone is summed in float64); after the last epoch the
+    trained weights are written back into ``params`` (float32 widens to
+    float64 exactly), and a run that takes no step leaves them as given.
     Each modality's codes are then calibrated over the base split
     (calibrate), in float64. Reads alpha, beta, batch_size, lr_ae,
     max_epochs and seed from cfg.
 
     Raises NumericsError when a batch loss is non-finite or exceeds
-    DIVERGENCE_FACTOR (1e3) times the first batch's loss.
+    DIVERGENCE_FACTOR (1e3) times the first batch's loss; the one-line
+    message ends with that batch's j1, j2 and j3.
     """
     Xb, Yb, Lb = dataset.base()
     if Xb.shape[0] == 0:
@@ -362,7 +347,6 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     f32 = IcaeParams(**{name: nn.cast(net, np.float32)
                         for name, net in params.nets().items()})
     X32, Y32, L32 = (a.astype(np.float32) for a in (Xb, Yb, Lb))
-    laplacians: dict = {}
     trace: list[float] = []
     first: Optional[float] = None
     t = int(np.ceil(n / cfg.batch_size))
@@ -377,16 +361,17 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
                                  replace=False)
                 r = rng.random()
                 drop = "x" if r < 0.25 else ("y" if r < 0.5 else None)
-                value, _, grads = loss1(f32, X32[idx], Y32[idx], L32[idx],
-                                        aff_x, aff_y, cfg.alpha, cfg.beta,
-                                        drop=drop, laplacians=laplacians)
+                value, parts, grads = loss1(f32, X32[idx], Y32[idx],
+                                            L32[idx], aff_x, aff_y, cfg.alpha,
+                                            cfg.beta, drop=drop)
                 if first is None:
                     first = value
                 elif value > DIVERGENCE_FACTOR * first:
                     raise nn.NumericsError(
                         f"phase 1 diverged: batch loss {value:.3g} exceeds "
                         f"{DIVERGENCE_FACTOR:g} x the first batch's "
-                        f"{first:.3g}")
+                        f"{first:.3g} (j1={parts['j1']:.3g}, "
+                        f"j2={parts['j2']:.3g}, j3={parts['j3']:.3g})")
                 for name, net in f32.nets().items():
                     nn.sgd_step(net, grads[name], cfg.lr_ae)
                 epoch_losses.append(value)

@@ -100,13 +100,18 @@ def cmd_gen_data(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     dataset = datagen.generate(spec)
+    if not 0 <= args.query_size < dataset.n:
+        raise CliError(f"--query-size must lie in 0..{dataset.n - 1} for "
+                       f"{dataset.n} samples, not {args.query_size}")
     if args.query_size > 0:
         dataset = datagen.split(dataset, args.query_size, seed=args.seed)
     store.save_dataset(dataset, out / "dataset")
     _write_run_manifest(out, "gen-data", vars(args))
     counts = dataset.meta["label_counts"]
     print(f"dataset written to {out / 'dataset'}: n={dataset.n}, "
-          f"c={dataset.c}, z1={counts[0]}, zc={counts[-1]}")
+          f"c={dataset.c}, z1={counts[0]}, zc={counts[-1]}, "
+          f"query={dataset.query_indices.size}, "
+          f"base={dataset.base_indices.size}")
     return 0
 
 

@@ -192,8 +192,8 @@ def split(dataset: Dataset, query_size: int, seed: int = 0) -> Dataset:
     accepted only if each of its labels keeps at least one sample in base.
     """
     n = dataset.n
-    if query_size >= n:
-        raise ValueError("query_size must be smaller than the dataset")
+    if not 0 <= query_size < n:
+        raise ValueError("query_size must lie in 0..n-1")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     in_base = np.ones(n, dtype=bool)

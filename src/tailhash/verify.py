@@ -5,6 +5,8 @@ independently of the library paths they check: expanded double sums, brute
 force enumeration, quadratic-time ranking walks and central finite
 differences. Their helpers live here too and nowhere else: finite
 differences over flat parameter views of a net, and the composed HSIC path.
+Loss1's finite differences take J1 and J3 from the library; J1's value
+has its own oracle, the pairwise form.
 """
 
 from __future__ import annotations
@@ -293,8 +295,7 @@ def check_label_affinity(seed: int = 0, trials: int = 3, bug: bool = False):
                 H[a, b] = H[b, a] = avg_hausdorff(sets[a], sets[b])
         sigma = H[~np.eye(c, dtype=bool)].mean()
         R = np.exp(-H / sigma ** 2)
-        for got, want in ((_maybe_bug(aff.H, bug), H), (aff.R, R),
-                          (aff.D, R.sum(axis=1))):
+        for got, want in ((_maybe_bug(aff.H, bug), H), (aff.R, R)):
             err = np.abs(got - want)
             # exact where the definition gives 0: the diagonal and the
             # identical pair (1, c - 1)
@@ -331,40 +332,28 @@ def check_loss1_gradients(seed: int = 0, trials: int = 3, bug: bool = False):
         aff_y = affinity.label_affinity(Fy, L)
         _, _, grads = autoencoder.loss1(icae, Fx, Fy, L, aff_x, aff_y,
                                         alpha, beta)
+        # central differences of Loss1 with the HSIC bandwidths pinned at
+        # the base point: the analytic gradient deliberately does not
+        # differentiate through sigma
+        codes0, _ = autoencoder.encode(icae, Fx, Fy)
+        sx, sy = bandwidth(codes0.Px), bandwidth(codes0.Py)
         for name, net in icae.nets().items():
             theta = get_flat(net)
-            # bandwidths are pinned at the base point: the analytic gradient
-            # deliberately does not differentiate through sigma
-            numeric = _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y,
-                                                alpha, beta, net, theta)
+
+            def value_at(vec):
+                set_flat(net, vec)
+                codes, _ = autoencoder.encode(icae, Fx, Fy)
+                j1, _ = affinity.j1_batch(codes.Cstar.T, L, aff_x, aff_y)
+                j2 = hsic_value(rbf_kernel(codes.Px, sx),
+                                rbf_kernel(codes.Py, sy))
+                j3, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
+                set_flat(net, theta)
+                return alpha * j1 + beta * j2 + j3
+
+            numeric = finite_diff_grad(value_at, theta)
             analytic = _maybe_bug(flat_grads(grads[name]), bug)
             worst = max(worst, _rel_err(analytic, numeric))
     return ("loss1_gradients", worst <= REL_TOL, f"worst rel err {worst:.2e}")
-
-
-def _finite_diff_frozen_sigma(icae, Fx, Fy, L, aff_x, aff_y, alpha, beta,
-                              net, theta):
-    """Central differences of Loss1 over one net's parameters with the HSIC
-    bandwidths pinned at their base-point values (matching the analytic
-    stop-gradient through sigma)."""
-    codes0, _ = autoencoder.encode(icae, Fx, Fy)
-    sx = bandwidth(codes0.Px)
-    sy = bandwidth(codes0.Py)
-
-    def value_at(vec):
-        set_flat(net, vec)
-        codes, _ = autoencoder.encode(icae, Fx, Fy)
-        present = np.flatnonzero(np.asarray(L).sum(axis=0) > 0)
-        W = affinity.pooling_matrix(np.asarray(L)[:, present])
-        prot = codes.Cstar.T @ W
-        j1, _ = affinity.j1_trace(prot, aff_x.restrict(present).laplacian
-                                  + aff_y.restrict(present).laplacian)
-        j2 = hsic_value(rbf_kernel(codes.Px, sx), rbf_kernel(codes.Py, sy))
-        j3, _ = autoencoder.reconstruction_loss(icae, Fx, Fy, codes)
-        set_flat(net, theta)
-        return alpha * j1 + beta * j2 + j3
-
-    return finite_diff_grad(value_at, theta)
 
 
 def check_loss2_gradients(seed: int = 0, trials: int = 10, bug: bool = False):

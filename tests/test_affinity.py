@@ -107,7 +107,7 @@ def test_label_affinity_matches_direct_recomputation():
     sigma = H[~np.eye(3, dtype=bool)].mean()
     np.testing.assert_allclose(aff.H, H, atol=1e-12)
     np.testing.assert_allclose(aff.R, np.exp(-H / sigma ** 2), atol=1e-12)
-    np.testing.assert_allclose(aff.D, aff.R.sum(axis=1), atol=1e-12)
+    np.testing.assert_allclose(aff.laplacian.sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_label_affinity_properties():
@@ -205,12 +205,59 @@ def test_j1_dimension_mismatch():
         affinity.j1_trace(np.zeros((2, 4)), aff.laplacian + aff.laplacian)
 
 
-def test_restrict_subsets_affinity():
+def test_j1_value_is_float64_for_large_float32_prototypes():
+    # near-constant prototypes about 1e15: the float32 trace cancels and
+    # comes out negative in about half of these cases
     rng = np.random.default_rng(11)
-    aff = _random_affinity(rng, 5)
-    sub = aff.restrict(np.array([0, 2, 4]))
-    np.testing.assert_array_equal(sub.H, aff.H[np.ix_([0, 2, 4], [0, 2, 4])])
-    np.testing.assert_allclose(sub.D, sub.R.sum(axis=1))
+    for _ in range(20):
+        aff = _random_affinity(rng, 5)
+        lap = aff.laplacian + aff.laplacian
+        C = (1e15 + 1e10 * rng.standard_normal((4, 5))).astype(np.float32)
+        val, grad = affinity.j1_trace(C, lap)
+        assert val == affinity.j1_trace(C.astype(np.float64), lap)[0]
+        assert val > 0
+        assert grad.dtype == np.float32
+        np.testing.assert_array_equal(grad,
+                                      2.0 * (C @ lap.astype(np.float32)))
+
+
+def _batch_without(rng, n, c, absent):
+    """(n, c) batch labels that lack the labels ``absent``: each sample
+    carries one present label in turn, some a second one."""
+    present = np.setdiff1d(np.arange(c), absent)
+    L = np.zeros((n, c), dtype=np.uint8)
+    L[np.arange(n), present[np.arange(n) % present.size]] = 1
+    second = rng.random(n) < 0.5
+    L[second, rng.choice(present, size=int(second.sum()))] = 1
+    return L, present
+
+
+def test_j1_batch_is_pairwise_form_over_present_labels():
+    rng = np.random.default_rng(12)
+    aff_x, aff_y = _random_affinity(rng, 5), _random_affinity(rng, 5)
+    L, present = _batch_without(rng, 8, 5, absent=[1, 3])
+    Cs = rng.standard_normal((3, 8))
+    value, _ = affinity.j1_batch(Cs, L, aff_x, aff_y)
+    # each present label's mean code, and each R's sub-block on its own,
+    # so that the degrees come from the sub-block
+    prototypes = np.stack([Cs[:, L[:, a] > 0].mean(axis=1) for a in present],
+                          axis=1)
+    sub = np.ix_(present, present)
+    sub_x, sub_y = (affinity.LabelAffinity(aff.H[sub], aff.R[sub], aff.sigma)
+                    for aff in (aff_x, aff_y))
+    assert value == pytest.approx(
+        verify.j1_pairwise(prototypes, sub_x, sub_y), rel=1e-12)
+
+
+def test_j1_batch_gradient_with_absent_labels():
+    rng = np.random.default_rng(13)
+    aff_x, aff_y = _random_affinity(rng, 5), _random_affinity(rng, 5)
+    L, _ = _batch_without(rng, 8, 5, absent=[0, 3])
+    Cs = rng.standard_normal((3, 8))
+    _, grad = affinity.j1_batch(Cs, L, aff_x, aff_y)
+    numeric = verify.finite_diff_grad(
+        lambda M: affinity.j1_batch(M, L, aff_x, aff_y)[0], Cs)
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
 
 # ------------------------------------------- threads of the nearest-member pass

@@ -415,22 +415,6 @@ def test_loss1_follows_float32_input():
                                    rtol=1e-3, atol=1e-5)
 
 
-def test_loss1_laplacian_memo_is_bit_identical():
-    icae, Fx, Fy, L, affs = _loss1_instance(31)
-    v, parts, g = autoencoder.loss1(icae, Fx, Fy, L, *affs, 0.3, 0.7)
-    memo = {}
-    for _ in range(2):
-        vm, partsm, gm = autoencoder.loss1(icae, Fx, Fy, L, *affs, 0.3, 0.7,
-                                           laplacians=memo)
-        assert vm == v and partsm == parts
-        for name in g:
-            np.testing.assert_array_equal(flat_grads(gm[name]),
-                                          flat_grads(g[name]))
-    assert len(memo) == 1
-    (lap,) = memo.values()
-    assert lap.shape == (2, 2)
-
-
 def test_train_ae_widens_float32_training_to_float64():
     ds = _tiny_dataset()
     icae = autoencoder.init_icae(6, 5, 4, np.random.default_rng(17))

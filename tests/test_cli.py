@@ -50,6 +50,31 @@ def test_gen_data_seed_changes_output(tmp_path):
     assert _checksums(a) != _checksums(b)
 
 
+@pytest.mark.parametrize("size", [-5, 67, 70, 5000])
+def test_gen_data_rejects_query_size_outside_dataset(tmp_path, capsys, size):
+    # the data has n = 67 samples: a query split takes 0..66 of them
+    out = tmp_path / "d"
+    code = run_cli(["gen-data", "--c", "4", "--z1", "40", "--if", "8",
+                    "--query-size", str(size), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --query-size must lie in 0..66")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "dataset").exists()
+
+
+def test_gen_data_reports_split_sizes_written(tmp_path, capsys):
+    # 66 of 67 asked for; the split keeps one sample of every label in base
+    out = tmp_path / "d"
+    code = run_cli(["gen-data", "--c", "4", "--z1", "40", "--if", "8",
+                    "--query-size", "66", "--out", str(out)])
+    assert code == 0
+    ds = store.load_dataset(out / "dataset")
+    assert 0 < ds.query_indices.size < 66
+    assert capsys.readouterr().out.strip().endswith(
+        f"query={ds.query_indices.size}, base={ds.base_indices.size}")
+
+
 def test_gen_data_rejects_imbalance_factor_one(tmp_path, capsys):
     code = run_cli(["gen-data", "--c", "4", "--z1", "40", "--if", "1",
                     "--out", str(tmp_path / "x")])
@@ -567,6 +592,8 @@ def test_train_growing_phase_one_loss_is_one_line_runtime_error(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("runtime error: phase 1 diverged")
     assert len(err.strip().splitlines()) == 1
+    # the message names the batch's terms, so the one that grew shows
+    assert all(f"{term}=" in err for term in ("j1", "j2", "j3"))
     assert not (out / "checkpoint_ae").exists()
 
 

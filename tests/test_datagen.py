@@ -213,3 +213,5 @@ def test_split_rejects_oversized_query():
     ds = datagen.generate(_tiny_spec())
     with pytest.raises(ValueError):
         datagen.split(ds, ds.n)
+    with pytest.raises(ValueError):
+        datagen.split(ds, -1)
