@@ -3,7 +3,10 @@
 Pairwise sample similarity S (share at least one label), per-modality label
 affinity built from average Hausdorff distances between per-label sample
 sets, and the graph-Laplacian regularizer on commonality label prototypes
-with its gradient.
+with its gradient. The affinity's nearest-member search screens each
+label's members with a float32 GEMM of bounded error and measures the
+candidates it leaves in float64, so every distance is the exact float64
+minimum over all members.
 """
 
 from __future__ import annotations
@@ -49,32 +52,37 @@ def pair_similarity(L: np.ndarray) -> np.ndarray:
     return (L @ L.T > 0).astype(np.uint8)
 
 
-def label_affinity(features: np.ndarray, L: np.ndarray) -> LabelAffinity:
+def label_affinity(features: np.ndarray, L: np.ndarray,
+                   name: str = "features") -> LabelAffinity:
     """Label similarity R_ab = exp(-H_ab / sigma^2) from per-label sets.
 
     H_ab is the average Hausdorff distance between the sample sets of
-    labels a and b. One blocked pass per label b finds every sample's
-    distance to its nearest member of b as ||x||^2 + ||y||^2 - 2 x.y^T
-    (one GEMM per row block), so each label pair costs two masked sums
-    instead of a distance matrix. sigma is the mean of the off-diagonal H
-    entries (floored to avoid blow-up on degenerate all-identical data).
-    The features are taken column-major, copied if need be, so the result
-    has the same bits for either memory layout.
+    labels a and b. With nearest[b, i] the distance from sample i to its
+    nearest member of label b (0 for a member; _nearest_member_sq_dists)
+    and S[a, b] its sum over the members of a, H = (S + S^T) / (n_a + n_b)
+    with a zero diagonal. sigma is the mean of the off-diagonal H entries
+    (floored to avoid blow-up on degenerate all-identical data). Raises
+    ValueError for a label without samples and for features that are not
+    all finite, which ``name`` names.
     """
-    features = np.asfortranarray(features, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
+    bad = features.size - np.count_nonzero(np.isfinite(features))
+    if bad:
+        raise ValueError(f"{name} hold {bad} NaN or infinite value(s); the "
+                         f"label affinity needs finite features")
     members = np.asarray(L) > 0
     c = members.shape[1]
     counts = members.sum(axis=0)
     for a in range(c):
         if counts[a] == 0:
             raise ValueError(f"label {a} has no samples")
-    nearest = np.sqrt(_nearest_member_sq_dists(features, members))
-    H = np.zeros((c, c))
-    for a in range(c):
-        for b in range(a + 1, c):
-            H[a, b] = H[b, a] = ((nearest[members[:, a], b].sum()
-                                  + nearest[members[:, b], a].sum())
-                                 / (counts[a] + counts[b]))
+    # one C-ordered row per label, so that every sum runs pairwise along a
+    # contiguous row
+    nearest = np.sqrt(_nearest_member_sq_dists(features, members).T.copy())
+    S = np.stack([np.compress(members[:, a], nearest, axis=1).sum(axis=1)
+                  for a in range(c)])
+    H = (S + S.T) / (counts[:, None] + counts[None, :])
+    np.fill_diagonal(H, 0.0)
     off = H[~np.eye(c, dtype=bool)]
     sigma = max(float(off.mean()) if off.size else 0.0, SIGMA_FLOOR)
     R = np.exp(-H / sigma ** 2)
@@ -105,18 +113,23 @@ def _nearest_member_sq_dists(features: np.ndarray,
     """(n, c) squared distance from each sample to its nearest member of
     each label; exactly 0 where the sample carries the label.
 
+    Each entry is the float64 minimum of ||x - y||^2, summed in difference
+    form, over all members y of the label: a float32 screen (_screen)
+    narrows the members down, and only its candidates are measured. The
+    result depends on the data alone, not on the screen's rounding, the
+    row blocks, the thread count or the memory layout.
+
     One pass per label fills only that label's column. A large enough set
     of passes is dealt, largest first, to the least-loaded of several
     lists; the calling thread runs one list and threads opened for this
     call run the others. numpy releases the interpreter lock inside the
     GEMMs and reductions, so the lists overlap on separate CPUs. Every row
-    block holds up to BLOCK_ELEMS elements whatever the thread count, so
-    the result depends on the data alone. The passes call numpy only: the
-    tracing in ``perfbench`` assumes that every span of the package nests
-    on one thread.
+    block holds up to BLOCK_ELEMS elements whatever the thread count. The
+    passes call numpy only: the tracing in ``perfbench`` assumes that every
+    span of the package nests on one thread.
     """
     n, c = members.shape
-    sq = np.einsum("ij,ij->i", features, features)
+    screen = _screen(features)
     nn2 = np.zeros((n, c))
     counts = members.sum(axis=0)
     # a member is its own nearest member, so only the others are searched
@@ -131,7 +144,7 @@ def _nearest_member_sq_dists(features: np.ndarray,
 
     def run(labels: list[int]) -> None:
         for b in labels:
-            _label_pass(features, sq, members[:, b], nn2[:, b])
+            _label_pass(features, screen, members[:, b], nn2[:, b])
 
     if workers == 1:
         run(lists[0])
@@ -144,25 +157,113 @@ def _nearest_member_sq_dists(features: np.ndarray,
             run(lists[0])
             for helper in helpers:
                 helper.result()
-    # GEMM round-off can leave a tiny negative square
-    return np.maximum(nn2, 0.0)
+    return nn2
 
 
-def _label_pass(features: np.ndarray, sq: np.ndarray, member: np.ndarray,
+@dataclass
+class _Screen:
+    """float32 screen operands of one feature matrix; see _screen."""
+    rows: np.ndarray     # (n, d + 1) float32 [z, 1]
+    sq: np.ndarray       # (n,) float64 ||z||^2
+    rel: float           # error bound per unit of ||z_i||^2 + max ||w||^2
+    floor: float         # absolute part of the error bound
+
+
+_U32 = 2.0 ** -24        # unit round-off of float32
+
+
+def _screen(features: np.ndarray) -> _Screen:
+    """The float32 screen of ``features``, with its error bound.
+
+    The rows x are centred by their mean mu and scaled by a power of two s,
+    z = s (x - mu) with max |z| in [1/2, 1), which keeps float32 clear of
+    overflow. For a sample z and a member w, the screen value
+    [z, 1] . [-2w, ||w||^2] = s^2 (||x - y||^2 - ||x - mu||^2), so along a
+    row it orders the members as ||x - y||^2 does. Its float32 error is at
+    most
+    e = rel (||z||^2 + max ||w||^2) + floor, with u = 2^-24:
+    - the dot product of d + 1 terms adds at most gamma_{d+1} times the
+      sum of their magnitudes, ||z||^2 + 2 ||w||^2 at most, whatever the
+      summation order (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., 2002, sec. 3.1), with gamma_n = nu / (1 - nu);
+    - rounding z, w and ||w||^2 to float32 adds at most
+      (2u + u^2)(||z||^2 + ||w||^2) + u ||w||^2;
+    so rel = (2d + 8) u / (1 - (d + 1) u) exceeds both coefficients by
+    3u or more, which absorbs the float64 rounding of the centring, of
+    ||z||^2, of the bound itself and of the measured distances, all of
+    order 2^-53 per term. The floor covers float32 underflow of operands
+    and products, 2^-150 apiece, and float64 underflow of the measured
+    squares, 2^-1075 apiece before the scaling. The pass (_label_pass)
+    keeps every member within 2e of a row's smallest screen value, which
+    holds the member of least float64 ||x - y||^2. The centring and the
+    scaling leave that measurement alone: it reads the original features.
+    """
+    n, d = features.shape
+    z = features - features.mean(axis=0)
+    top = np.abs(z).max(initial=0.0)
+    shift = -int(np.frexp(top)[1]) if top > 0 else 0
+    np.ldexp(z, shift, out=z)
+    rows = np.empty((n, d + 1), dtype=np.float32)
+    rows[:, :d] = z
+    rows[:, d] = 1.0
+    floor = (d + 1) * (2.0 ** -144 + float(np.ldexp(1.0, 2 * shift - 1074)))
+    return _Screen(rows, np.einsum("ij,ij->i", z, z),
+                   (2 * d + 8) * _U32 / (1 - (d + 1) * _U32), floor)
+
+
+def _label_pass(features: np.ndarray, screen: _Screen, member: np.ndarray,
                 out: np.ndarray) -> None:
     """Squared distance from every non-member to its nearest member, written
-    into ``out`` (a column of the result); members keep their 0."""
+    into ``out`` (a column of the result); members keep their 0.
+
+    Per row block, one float32 GEMM gives the screen values of every
+    member, and each row's argmin is measured in float64. A row whose
+    second-smallest value also lies within twice its bound (_screen) has
+    more candidates; it takes the float64 minimum over all of them."""
     rows = np.flatnonzero(~member)
-    Ym2 = features[member]
-    Ym2 *= -2.0              # exact scaling: X @ Ym2.T == -2 X Y^T
-    sq_y = sq[member]
-    step = max(1, BLOCK_ELEMS // Ym2.shape[0])
+    Y = features[member]
+    W = screen.rows[member]
+    W[:, :-1] *= -2.0        # exact in float32
+    W[:, -1] = screen.sq[member]
+    tol = 2.0 * (screen.rel * (screen.sq[rows] + screen.sq[member].max())
+                 + screen.floor)
+    best = np.empty(rows.size, dtype=np.intp)
+    # rows with further candidates: their positions and least squares
+    more: list[tuple[np.ndarray, np.ndarray]] = []
+    step = max(1, BLOCK_ELEMS // Y.shape[0])
     for start in range(0, rows.size, step):
-        blk = rows[start:start + step]
-        G = features[blk] @ Ym2.T
-        G += sq_y
-        # ||x||^2 is constant along a row: add it after the min
-        out[blk] = sq[blk] + G.min(axis=1)
+        G = screen.rows[rows[start:start + step]] @ W.T
+        j = G.argmin(axis=1)
+        best[start:start + step] = j
+        at = np.arange(j.size)
+        # float64 bounds: a float32 value compares with them exactly
+        bound = G[at, j] + tol[start:start + step]
+        G[at, j] = np.inf
+        multi = np.flatnonzero(G.min(axis=1) <= bound)
+        if multi.size:
+            r, k = np.nonzero(G[multi] <= bound[multi, None])
+            d2 = _sq_dists(features, rows[start + multi[r]], Y, k)
+            firsts = np.flatnonzero(np.diff(r, prepend=-1))
+            more.append((start + multi, np.minimum.reduceat(d2, firsts)))
+    nn2 = _sq_dists(features, rows, Y, best)
+    for at, d2 in more:
+        nn2[at] = np.minimum(nn2[at], d2)
+    out[rows] = nn2
+
+
+def _sq_dists(features: np.ndarray, rows: np.ndarray, Y: np.ndarray,
+              cols: np.ndarray) -> np.ndarray:
+    """float64 ||features[rows[k]] - Y[cols[k]]||^2 for each pair k, each
+    a sum over one C-ordered row of squared differences, taken in chunks
+    of at most BLOCK_ELEMS elements."""
+    out = np.empty(rows.size)
+    step = max(1, BLOCK_ELEMS // max(1, Y.shape[1]))
+    for start in range(0, rows.size, step):
+        diff = features[rows[start:start + step]]
+        diff -= Y[cols[start:start + step]]
+        diff *= diff
+        out[start:start + step] = diff.sum(axis=1)
+    return out
 
 
 def pooling_matrix(L: np.ndarray) -> np.ndarray:

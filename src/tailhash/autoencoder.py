@@ -341,8 +341,8 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
     rng = np.random.default_rng(cfg.seed)
 
     # the label affinity depends only on the raw features; compute it once
-    aff_x = affinity.label_affinity(Xb, Lb)
-    aff_y = affinity.label_affinity(Yb, Lb)
+    aff_x = affinity.label_affinity(Xb, Lb, name="base x features")
+    aff_y = affinity.label_affinity(Yb, Lb, name="base y features")
 
     f32 = IcaeParams(**{name: nn.cast(net, np.float32)
                         for name, net in params.nets().items()})

@@ -30,18 +30,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_dir(args) -> Path:
+    """The output directory. It is made by the first write into it, so a
+    command that fails validation leaves none behind."""
     out = os.environ.get("TAILHASH_OUTPUT_DIR") or args.out
     if out is None:
         raise CliError("give --out or set TAILHASH_OUTPUT_DIR")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def _write_run_manifest(out: Path, command: str, config: dict) -> None:
     doc = {"command": command,
            "config": {k: v for k, v in config.items()
                       if v is not None and not callable(v)}}
+    out.mkdir(parents=True, exist_ok=True)
     (out / "run_manifest.json").write_text(json.dumps(doc, indent=1))
 
 
@@ -269,9 +270,9 @@ def cmd_ablate(args) -> int:
         summary[name] = {d: r.map for d, r in reports.items()}
         print(f"{name}: i2t={summary[name]['i2t']:.4f} "
               f"t2i={summary[name]['t2i']:.4f}")
-    (out / "ablation_summary.json").write_text(json.dumps(summary, indent=1))
     _write_run_manifest(out, "ablate", dict(vars(args),
                                             **dataclasses.asdict(cfg)))
+    (out / "ablation_summary.json").write_text(json.dumps(summary, indent=1))
     return 0
 
 

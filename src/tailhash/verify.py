@@ -271,15 +271,23 @@ def check_label_affinity(seed: int = 0, trials: int = 3, bug: bool = False):
     """Blocked nearest-member affinity vs the per-pair average Hausdorff
     definition, on multi-label sets of unequal sizes whose nearest-member
     passes span several row blocks; two labels with identical sample sets
-    must get H == 0 exactly."""
+    must get H == 0 exactly. After ``trials`` random instances, two stress
+    the float32 screen: integer features under a common offset of 1e3
+    times their spread, whose exact ties leave rows several candidates,
+    and features scaled near 1e30."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     ok = True
-    for _ in range(trials):
+    for t in range(trials + 2):
         c = int(rng.integers(3, 6))
         d = int(rng.integers(2, 6))
         n = int(rng.integers(1500, 2000))
-        feats = rng.uniform(0.5, 3.0) * rng.standard_normal((n, d))
+        spread = rng.uniform(0.5, 3.0)
+        feats = spread * rng.standard_normal((n, d))
+        if t == trials:
+            feats = np.round(feats) + 1e3 * spread
+        elif t == trials + 1:
+            feats *= 1e30
         # label 0 on about half the samples: its pass over the other half
         # takes several blocks; the rest are rarer and overlap it
         freq = rng.uniform(0.05, 0.4, size=c)

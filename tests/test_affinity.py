@@ -129,6 +129,16 @@ def test_label_affinity_rejects_empty_label():
                                 np.array([[1, 0], [1, 0]], dtype=np.uint8))
 
 
+def test_label_affinity_rejects_non_finite_features():
+    feats = np.zeros((4, 2))
+    L = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.uint8)
+    for bad in (np.nan, np.inf, -np.inf):
+        feats[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^x features hold 1 NaN or "
+                                             r"infinite value\(s\)"):
+            affinity.label_affinity(feats, L, name="x features")
+
+
 def test_label_affinity_oracle():
     # blocked nearest-member pass vs per-pair avg_hausdorff, multi-block
     # instances with shared samples; an injected bug must be caught
@@ -359,3 +369,62 @@ def test_label_pass_error_reaches_caller(workers, monkeypatch, raiser):
         affinity.label_affinity(feats, L)
     assert not barrier.broken
     assert not any(t.is_alive() for t in threads if t is not caller)
+
+
+# ---------------------------------------- exactness of the nearest-member pass
+
+def _grid_cloud(rng, n=80, d=3):
+    """Points on a grid of step 0.1, which float64 does not hold exactly:
+    many members tie for nearest in real arithmetic and differ in the last
+    bits in float64, and some samples repeat."""
+    feats = 0.1 * rng.integers(-3, 4, size=(n, d))
+    feats[rng.integers(0, n, 10)] = feats[rng.integers(0, n, 10)]
+    return feats
+
+
+def _duplicated_cloud(rng, n=80, d=4):
+    feats = rng.standard_normal((n // 4, d))
+    return feats[rng.integers(0, n // 4, n)]
+
+
+CLOUDS = {
+    "ties": _grid_cloud,
+    "duplicates": _duplicated_cloud,
+    "offset": lambda rng: _grid_cloud(rng) + 1e3 * 0.3,
+    "scale_1e30": lambda rng: 1e30 * _grid_cloud(rng),
+    "scale_1e-30": lambda rng: 1e-30 * _grid_cloud(rng),
+}
+
+
+def _brute_nearest_sq_dists(feats, members):
+    """Each non-member's float64 min over the members y of
+    ((y - x) ** 2).sum(), one sample at a time."""
+    want = np.zeros(members.shape)
+    for b in range(members.shape[1]):
+        Y = feats[members[:, b]]
+        for i in np.flatnonzero(~members[:, b]):
+            want[i, b] = ((Y - feats[i]) ** 2).sum(axis=1).min()
+    return want
+
+
+@pytest.mark.parametrize("cloud", sorted(CLOUDS))
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("block", [120, affinity.BLOCK_ELEMS])
+def test_nearest_member_pass_equals_float64_oracle(monkeypatch, block,
+                                                   n_workers, order, cloud):
+    # bit for bit: the float32 screen must never drop the member of least
+    # float64 square, whatever the blocks, the threads or the layout
+    monkeypatch.setattr(affinity, "BLOCK_ELEMS", block)
+    monkeypatch.setattr(affinity, "WORKERS", n_workers)
+    monkeypatch.setattr(affinity, "MIN_BLOCKS_PER_WORKER", 1)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        feats = CLOUDS[cloud](rng)
+        members = rng.random((feats.shape[0], 5)) < [0.5, 0.3, 0.2, 0.1, 0.05]
+        members[members.sum(axis=1) == 0, 0] = True
+        members[:2, 4] = True
+        got = affinity._nearest_member_sq_dists(
+            np.asarray(feats, order=order), members)
+        np.testing.assert_array_equal(got,
+                                      _brute_nearest_sq_dists(feats, members))

@@ -82,6 +82,16 @@ def test_gen_data_rejects_imbalance_factor_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--if", "1"), ("--query-size", "-5")],
+                         ids=["imbalance_factor", "query_size"])
+def test_gen_data_validation_error_leaves_no_out_dir(tmp_path, flags):
+    out = tmp_path / "qs" / "d"
+    code = run_cli(["gen-data", "--c", "4", "--z1", "40", "--if", "8",
+                    *flags, "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_gen_data_rejects_bad_dimensions(tmp_path):
     code = run_cli(["gen-data", "--c", "4", "--z1", "40", "--if", "8",
                     "--shared-dim", "0", "--out", str(tmp_path / "x")])
@@ -207,6 +217,34 @@ def test_train_rejects_negative_loss_weight_before_training(tmp_path, capsys,
     assert err.startswith("error:") and "non-negative" in err
     assert len(err.strip().splitlines()) == 1
     assert not (run / "checkpoint_ae").exists()
+
+
+def test_train_validation_error_leaves_no_out_dir(tmp_path):
+    data = _gen(tmp_path)
+    out = tmp_path / "r"
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(out), "--gamma", "-1"])
+    assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_non_finite_feature_is_one_line_runtime_error(tmp_path, capsys,
+                                                            bad):
+    data = _gen(tmp_path)
+    ds = store.load_dataset(data / "dataset")
+    ds.Fy_raw[ds.base_indices[3], 1] = bad
+    store.save_dataset(ds, tmp_path / "bad" / "dataset")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = run_cli(["train", "--dataset", str(tmp_path / "bad" / "dataset"),
+                    "--out", str(out), "--k", "4", "--max-epochs", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: base y features hold 1 NaN or "
+                          "infinite value(s)")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "checkpoint_ae").exists()
 
 
 @pytest.mark.parametrize("content, detail", [
