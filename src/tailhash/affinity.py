@@ -62,8 +62,9 @@ def label_affinity(features: np.ndarray, L: np.ndarray,
     and S[a, b] its sum over the members of a, H = (S + S^T) / (n_a + n_b)
     with a zero diagonal. sigma is the mean of the off-diagonal H entries
     (floored to avoid blow-up on degenerate all-identical data). Raises
-    ValueError for a label without samples and for features that are not
-    all finite, which ``name`` names.
+    ValueError for a label without samples, and for features that are not
+    all finite or whose squared distances overflow float64, which ``name``
+    names.
     """
     features = np.asarray(features, dtype=np.float64)
     bad = features.size - np.count_nonzero(np.isfinite(features))
@@ -76,9 +77,13 @@ def label_affinity(features: np.ndarray, L: np.ndarray,
     for a in range(c):
         if counts[a] == 0:
             raise ValueError(f"label {a} has no samples")
+    nn2 = _nearest_member_sq_dists(features, members)
+    if not np.isfinite(nn2).all():
+        raise ValueError(f"{name} are too large for the label affinity: "
+                         f"their squared distances overflow float64")
     # one C-ordered row per label, so that every sum runs pairwise along a
     # contiguous row
-    nearest = np.sqrt(_nearest_member_sq_dists(features, members).T.copy())
+    nearest = np.sqrt(nn2.T.copy())
     S = np.stack([np.compress(members[:, a], nearest, axis=1).sum(axis=1)
                   for a in range(c)])
     H = (S + S.T) / (counts[:, None] + counts[None, :])
@@ -143,8 +148,11 @@ def _nearest_member_sq_dists(features: np.ndarray,
         loads[w] += work[b]
 
     def run(labels: list[int]) -> None:
-        for b in labels:
-            _label_pass(features, screen, members[:, b], nn2[:, b])
+        # per thread: an overflowing distance stays inf, and label_affinity
+        # refuses it
+        with np.errstate(over="ignore"):
+            for b in labels:
+                _label_pass(features, screen, members[:, b], nn2[:, b])
 
     if workers == 1:
         run(lists[0])

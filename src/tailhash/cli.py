@@ -1,10 +1,13 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, encode, eval, ablate, check-grad.
-Exit codes: 0 success, 1 validation error, 2 runtime, numeric or I/O error,
-3 verification failure. The output directory can be overridden with the
-TAILHASH_OUTPUT_DIR environment variable. Flag values take precedence over
-a JSON config file (--config), which takes precedence over defaults.
+Exit codes: 0 success, 1 validation error (a rejected flag, or a rejected
+or malformed input artifact), 2 runtime, numeric or I/O error, 3
+verification failure. The output directory can be overridden with the
+TAILHASH_OUTPUT_DIR environment variable. gen-data's settings flags and
+their defaults are datagen.LongTailSpec's fields; train's and ablate's are
+experiment.RunConfig's, and there flag values take precedence over a JSON
+config file (--config), which takes precedence over the defaults.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import datagen, experiment, hashing, nn, retrieval, store, verify
@@ -38,89 +43,88 @@ def _out_dir(args) -> Path:
     return Path(out)
 
 
-def _write_run_manifest(out: Path, command: str, config: dict) -> None:
-    doc = {"command": command,
+def _write_run_manifest(out: Path, args, settings) -> None:
+    """The command, its flags and the whole settings dataclass it ran on."""
+    config = dict(vars(args), **dataclasses.asdict(settings))
+    doc = {"command": args.command,
            "config": {k: v for k, v in config.items()
                       if v is not None and not callable(v)}}
     out.mkdir(parents=True, exist_ok=True)
     (out / "run_manifest.json").write_text(json.dumps(doc, indent=1))
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    for f in dataclasses.fields(experiment.RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, type=type(f.default), default=None)
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> the type its annotation names, T for Optional[T]
+    (Union[T, None]), of the settings dataclass ``cls``; resolved once."""
+    return {name: (typing.get_args(hint) or (hint,))[0]
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+def _add_field_flags(p: argparse.ArgumentParser, cls, **flags: str) -> None:
+    """One flag per field of the settings dataclass ``cls``, named
+    --field-name unless ``flags`` names it, and typed by its annotation.
+    A field without a default is a required flag; an absent flag parses to
+    None, so that the field keeps the default ``cls`` gives it."""
+    types = _field_types(cls)
+    for f in dataclasses.fields(cls):
+        flag = flags.get(f.name, "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, type=types[f.name], default=None,
+                       required=f.default is dataclasses.MISSING)
+
+
+def _settings(cls, args, values: typing.Optional[dict] = None):
+    """``cls`` from ``values`` and the flags given, which override them; a
+    value its checks refuse is a validation error."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if getattr(args, f.name) is not None}
+    try:
+        return cls(**{**(values or {}), **given})
+    except ValueError as e:
+        raise CliError(str(e))
 
 
 def _run_config(args) -> experiment.RunConfig:
-    values = {f.name: f.default for f in dataclasses.fields(experiment.RunConfig)}
-    if getattr(args, "config", None):
+    types = _field_types(experiment.RunConfig)
+    values = {}
+    if args.config:
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
+            values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise CliError(f"bad config file: {e}")
-        if not isinstance(file_cfg, dict):
+        if not isinstance(values, dict):
             raise CliError("bad config file: not a JSON object")
-        for k, v in file_cfg.items():
-            if k not in values:
+        for k, v in values.items():
+            if k not in types:
                 raise CliError(f"unknown config key {k!r}")
             # a JSON integer is a valid float; a bool is not a number here
-            want = type(values[k])
+            want = types[k]
             ok = (int, float) if want is float else want
             if isinstance(v, bool) or not isinstance(v, ok):
                 raise CliError(f"config key {k!r} must be of type "
                                f"{want.__name__}, not {v!r}")
-            values[k] = v
-    for name in values:
-        flag_val = getattr(args, name, None)
-        if flag_val is not None:
-            values[name] = flag_val
-    try:
-        return experiment.RunConfig(**values)
-    except ValueError as e:
-        raise CliError(str(e))
+    return _settings(experiment.RunConfig, args, values)
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_gen_data(args) -> int:
     out = _out_dir(args)
-    if args.imbalance_factor is not None and args.imbalance_factor <= 1:
-        raise CliError("imbalance factor must exceed 1")
-    try:
-        spec = datagen.LongTailSpec(
-            c=args.c, z1=args.z1, mu=args.mu,
-            imbalance_factor=args.imbalance_factor,
-            raw_dim_x=args.raw_dim_x, raw_dim_y=args.raw_dim_y,
-            shared_dim=args.shared_dim, private_dim=args.private_dim,
-            noise_sigma=args.noise_sigma,
-            exclusive_tail_fraction=args.exclusive_tail_fraction,
-            secondary_label_prob=args.secondary_label_prob,
-            seed=args.seed)
-    except ValueError as e:
-        raise CliError(str(e))
+    spec = _settings(datagen.LongTailSpec, args)
     dataset = datagen.generate(spec)
     if not 0 <= args.query_size < dataset.n:
         raise CliError(f"--query-size must lie in 0..{dataset.n - 1} for "
                        f"{dataset.n} samples, not {args.query_size}")
     if args.query_size > 0:
-        dataset = datagen.split(dataset, args.query_size, seed=args.seed)
+        dataset = datagen.split(dataset, args.query_size, seed=spec.seed)
     store.save_dataset(dataset, out / "dataset")
-    _write_run_manifest(out, "gen-data", vars(args))
+    _write_run_manifest(out, args, spec)
     counts = dataset.meta["label_counts"]
     print(f"dataset written to {out / 'dataset'}: n={dataset.n}, "
           f"c={dataset.c}, z1={counts[0]}, zc={counts[-1]}, "
           f"query={dataset.query_indices.size}, "
           f"base={dataset.base_indices.size}")
     return 0
-
-
-def _load_dataset(path) -> datagen.Dataset:
-    try:
-        return store.load_dataset(path)
-    except store.StoreError as e:
-        raise CliError(str(e))
 
 
 def _dataset_fingerprint(dataset: datagen.Dataset) -> dict[str, int]:
@@ -152,7 +156,7 @@ def _check_resumable(path: Path, ckpt: store.Checkpoint,
 def cmd_train(args) -> int:
     out = _out_dir(args)
     cfg = _run_config(args)
-    dataset = _load_dataset(args.dataset)
+    dataset = store.load_dataset(args.dataset)
     variant = hashing.VARIANTS[args.variant]
 
     # every checkpoint records the whole run configuration
@@ -160,11 +164,8 @@ def cmd_train(args) -> int:
     ae_path = out / "checkpoint_ae"
     resumed = False
     if args.resume and (ae_path / "manifest.json").exists():
-        try:
-            ckpt = store.load_checkpoint(ae_path, expect_phase="ae")
-            _check_resumable(ae_path, ckpt, cfg, dataset)
-        except store.StoreError as e:
-            raise CliError(str(e))
+        ckpt = store.load_checkpoint(ae_path, expect_phase="ae")
+        _check_resumable(ae_path, ckpt, cfg, dataset)
         icae, side, trace1 = ckpt.icae, ckpt.side, ckpt.loss_trace
         resumed = True
     else:
@@ -176,7 +177,7 @@ def cmd_train(args) -> int:
                                               variant)
     store.save_checkpoint(out / "checkpoint_hash", "hash", icae, side,
                           dict(hyper, variant=variant.name), trace2, B=B)
-    _write_run_manifest(out, "train", dict(vars(args), **hyper))
+    _write_run_manifest(out, args, cfg)
     print(f"phase 1 {'resumed from checkpoint' if resumed else 'trained'}; "
           f"checkpoints under {out}")
     return 0
@@ -184,12 +185,9 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     out = _out_dir(args)
-    dataset = _load_dataset(args.dataset)
-    try:
-        ckpt = store.load_checkpoint(args.checkpoint, expect_phase="hash")
-        name = ckpt.hyper["variant"]
-    except store.StoreError as e:
-        raise CliError(str(e))
+    dataset = store.load_dataset(args.dataset)
+    ckpt = store.load_checkpoint(args.checkpoint, expect_phase="hash")
+    name = ckpt.hyper["variant"]
     variant = hashing.VARIANTS.get(name) if isinstance(name, str) else None
     if variant is None:
         raise CliError(f"{args.checkpoint}: unknown variant {name!r}")
@@ -205,27 +203,21 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _head_count(args, dataset: datagen.Dataset) -> int:
-    """--head-count, which must lie in 0..c; c // 2 when not given."""
-    if args.head_count is None:
-        return dataset.c // 2
-    if not 0 <= args.head_count <= dataset.c:
+def _check_head_count(args, dataset: datagen.Dataset) -> None:
+    """--head-count, when given, must lie in 0..c."""
+    if args.head_count is not None and not 0 <= args.head_count <= dataset.c:
         raise CliError(f"--head-count must be in 0..{dataset.c}, got "
                        f"{args.head_count}")
-    return args.head_count
 
 
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     if args.top_r is not None and args.top_r < 1:
         raise CliError(f"--top-r must be >= 1, got {args.top_r}")
-    dataset = _load_dataset(args.dataset)
-    head = _head_count(args, dataset)
-    try:
-        q_codes, q_info = store.load_codes(args.query_codes)
-        b_codes, _ = store.load_codes(args.base_codes)
-    except store.StoreError as e:
-        raise CliError(str(e))
+    dataset = store.load_dataset(args.dataset)
+    _check_head_count(args, dataset)
+    q_codes, q_info = store.load_codes(args.query_codes)
+    b_codes, _ = store.load_codes(args.base_codes)
     _, _, Lb = dataset.base()
     _, _, Lq = dataset.query()
     for path, codes, split, labels in (
@@ -237,7 +229,7 @@ def cmd_eval(args) -> int:
                            f"items")
     counts = dataset.meta.get("label_counts", Lb.sum(axis=0))
     report = retrieval.evaluate(args.direction, q_codes, Lq, b_codes, Lb,
-                                counts, head, topR=args.top_r,
+                                counts, args.head_count, topR=args.top_r,
                                 variant=q_info.get("variant", "full"))
     stem = out / f"report_{args.direction}"
     store.emit_report(report, "json", stem.with_suffix(".json"))
@@ -251,8 +243,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     out = _out_dir(args)
     cfg = _run_config(args)
-    dataset = _load_dataset(args.dataset)
-    head = _head_count(args, dataset)
+    dataset = store.load_dataset(args.dataset)
+    _check_head_count(args, dataset)
     icae, side0, trace1 = experiment.train_phase1(dataset, cfg)
     summary = {}
     for name, variant in hashing.VARIANTS.items():
@@ -262,7 +254,8 @@ def cmd_ablate(args) -> int:
             dataset, cfg, icae, copy.deepcopy(side0), variant)
         model = experiment.TrainedModel(icae, side, B, trace1, trace2,
                                         variant)
-        reports = experiment.evaluate_model(dataset, model, head_count=head)
+        reports = experiment.evaluate_model(dataset, model,
+                                            head_count=args.head_count)
         for direction, report in reports.items():
             stem = out / f"report_{name}_{direction}"
             store.emit_report(report, "json", stem.with_suffix(".json"))
@@ -270,8 +263,7 @@ def cmd_ablate(args) -> int:
         summary[name] = {d: r.map for d, r in reports.items()}
         print(f"{name}: i2t={summary[name]['i2t']:.4f} "
               f"t2i={summary[name]['t2i']:.4f}")
-    _write_run_manifest(out, "ablate", dict(vars(args),
-                                            **dataclasses.asdict(cfg)))
+    _write_run_manifest(out, args, cfg)
     (out / "ablation_summary.json").write_text(json.dumps(summary, indent=1))
     return 0
 
@@ -293,19 +285,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--z1", type=int, required=True)
-    p.add_argument("--if", dest="imbalance_factor", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--raw-dim-x", type=int, default=64)
-    p.add_argument("--raw-dim-y", type=int, default=48)
-    p.add_argument("--shared-dim", type=int, default=8)
-    p.add_argument("--private-dim", type=int, default=4)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--exclusive-tail-fraction", type=float, default=0.0)
-    p.add_argument("--secondary-label-prob", type=float, default=0.5)
+    _add_field_flags(p, datagen.LongTailSpec, imbalance_factor="--if")
     p.add_argument("--query-size", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_data)
 
@@ -316,7 +297,8 @@ def build_parser() -> _Parser:
                    choices=sorted(hashing.VARIANTS))
     p.add_argument("--resume", action="store_true",
                    help="reuse an existing phase-1 checkpoint in --out")
-    _add_config_flags(p)
+    p.add_argument("--config", help="JSON config file (flags override it)")
+    _add_field_flags(p, experiment.RunConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="encode a split with a trained model")
@@ -341,7 +323,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--head-count", type=int, default=None)
-    _add_config_flags(p)
+    p.add_argument("--config", help="JSON config file (flags override it)")
+    _add_field_flags(p, experiment.RunConfig)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("check-grad", help="run gradient and oracle suites")
@@ -358,10 +341,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as e:
+    except (CliError, store.StoreError) as e:
+        # a rejected or malformed artifact is a validation error
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (nn.NumericsError, store.StoreError, ValueError, OSError) as e:
+    except (nn.NumericsError, ValueError, OSError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 

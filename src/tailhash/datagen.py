@@ -10,7 +10,7 @@ private term, alternating between modalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,8 @@ class LongTailSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.imbalance_factor is not None and self.imbalance_factor <= 1:
+            raise ValueError("imbalance factor must exceed 1")
         if self.c < 2:
             raise ValueError("need at least 2 labels")
         if self.z1 < 1:
@@ -161,18 +163,8 @@ def generate(spec: LongTailSpec) -> Dataset:
         Fy = Fy + spec.noise_sigma * rng.standard_normal(Fy.shape)
 
     meta = {
-        "spec": {
-            "c": c, "z1": spec.z1, "mu": spec.mu,
-            "imbalance_factor": spec.imbalance_factor,
-            "raw_dim_x": spec.raw_dim_x, "raw_dim_y": spec.raw_dim_y,
-            "shared_dim": spec.shared_dim, "private_dim": spec.private_dim,
-            "noise_sigma": spec.noise_sigma,
-            "exclusive_tail_fraction": spec.exclusive_tail_fraction,
-            "secondary_label_prob": spec.secondary_label_prob,
-            "seed": spec.seed,
-        },
+        "spec": asdict(spec),
         "label_counts": counts,                       # Zipf schedule (primary)
-        "realized_label_counts": L.sum(axis=0).astype(np.int64),
         "exclusive_labels": np.flatnonzero(exclusive).astype(np.int64),
         "arrays": {
             "shared_prototypes": shared, "private_x": priv_x, "private_y": priv_y,

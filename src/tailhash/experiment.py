@@ -98,8 +98,6 @@ def evaluate_model(dataset: Dataset, model: TrainedModel,
     Xq, Yq, Lq = dataset.query()
     _, _, Lb = dataset.base()
     counts = dataset.meta.get("label_counts", Lb.sum(axis=0))
-    if head_count is None:
-        head_count = dataset.c // 2
     reports = {}
     for direction, modality, raw in (("i2t", "x", Xq), ("t2i", "y", Yq)):
         q_codes = retrieval.encode_query(modality, raw, model.icae,

@@ -97,8 +97,7 @@ class MetaForward:
     M: np.ndarray                 # (k, n)
     proj_tape: list
     sel1_tape: list
-    Cstar: np.ndarray             # (n, k), treated as constant inputs
-    Iv: np.ndarray
+    Cstar: np.ndarray             # (n, k), treated as a constant input
 
 
 def meta_forward(side: ModalitySide, raw: np.ndarray, Cstar: np.ndarray,
@@ -113,8 +112,7 @@ def meta_forward(side: ModalitySide, raw: np.ndarray, Cstar: np.ndarray,
     e1_cols, sel1_tape = nn.forward(side.selector1, F_cols)
     M = meta_features(F_cols.T, Cstar, Iv, e1_cols.T)
     return MetaForward(F_cols.T, e1_cols.T, M, proj_tape, sel1_tape,
-                       np.asarray(Cstar, dtype=np.float64),
-                       np.asarray(Iv, dtype=np.float64))
+                       np.asarray(Cstar, dtype=np.float64))
 
 
 def meta_backward(side: ModalitySide, fwd: MetaForward, dM: np.ndarray) -> dict:

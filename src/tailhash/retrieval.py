@@ -9,7 +9,7 @@ from MAP and surfaced in the report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ class EvalReport:
     n_excluded: int
     runtime: float
     variant: str = "full"
-    extra: dict = field(default_factory=dict)
 
 
 def encode_query(modality: str, raw: np.ndarray,
@@ -190,13 +189,16 @@ def per_label_breakdown(aps: np.ndarray, query_labels: np.ndarray,
 
 
 def evaluate(direction: str, query_codes, query_labels, base_codes,
-             base_labels, label_counts: np.ndarray, head_count: int,
+             base_labels, label_counts: np.ndarray,
+             head_count: Optional[int] = None,
              ks: Sequence[int] = (10, 50, 100), topR: Optional[int] = None,
              variant: str = "full") -> EvalReport:
     """Full retrieval evaluation in one direction; the head is the first
-    head_count (0..c) labels by descending count."""
+    head_count (0..c, c // 2 when None) labels by descending count."""
     start = time.perf_counter()
     c = np.shape(query_labels)[1]
+    if head_count is None:
+        head_count = c // 2
     if not 0 <= head_count <= c:
         raise ValueError(f"head count must be in 0..{c}, got {head_count}")
     # one ranking serves both AP and precision@k

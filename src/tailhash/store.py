@@ -99,16 +99,12 @@ def _write_array(root: Path, name: str, arr: np.ndarray,
             "crc32": zlib.crc32(data)}
 
 
-def _read_bytes(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as e:
-        raise StoreError(f"cannot read {path}: {e}") from e
-
-
 def _read_array(root: Path, entry: dict) -> np.ndarray:
     path = root / entry["file"]
-    data = _read_bytes(path)
+    try:
+        data = path.read_bytes()
+    except OSError as e:
+        raise StoreError(f"cannot read {path}: {e}") from e
     shape = tuple(entry["shape"])
     kind = entry["dtype"]
     if kind == BITS:
@@ -134,27 +130,34 @@ def _write_manifest(root: Path, manifest: dict) -> None:
 class _Manifest(dict):
     """A manifest object, at any depth, whose missing keys raise StoreError
     naming the key and the file instead of a bare KeyError."""
-    path: Optional[Path] = None
+    def __init__(self, pairs, path: Path):
+        super().__init__(pairs)
+        self.path = path
 
     def __missing__(self, key):
         raise StoreError(f"{self.path}: missing key {key!r}")
 
 
-def _read_manifest(root: Path) -> dict:
+def _read_manifest(root: Path, kind: str) -> dict:
+    """The manifest of the ``kind`` container at ``root``; StoreError names
+    one that is missing, not a UTF-8 JSON object, or of another version or
+    kind."""
     path = Path(root) / "manifest.json"
     if not path.is_file():
         raise StoreError(f"no manifest at {path}")
-
-    def manifest_object(pairs):
-        obj = _Manifest(pairs)
-        obj.path = path
-        return obj
-
-    manifest = json.loads(path.read_text(), object_pairs_hook=manifest_object)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"),
+                              object_pairs_hook=lambda p: _Manifest(p, path))
+    except ValueError as e:     # not UTF-8, or not JSON
+        raise StoreError(f"{path}: not a JSON manifest: {e}") from e
+    if not isinstance(manifest, _Manifest):
+        raise StoreError(f"{path}: not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatVersionError(
             f"{path}: format_version {manifest.get('format_version')}, "
             f"expected {FORMAT_VERSION}")
+    if manifest.get("kind") != kind:
+        raise StoreError(f"{root} is not a {kind} container")
     return manifest
 
 
@@ -180,8 +183,6 @@ def save_dataset(dataset: Dataset, path) -> None:
         "raw_dim_y": int(dataset.Fy_raw.shape[1]),
         "label_counts": [int(v) for v in dataset.meta.get(
             "label_counts", dataset.L.sum(axis=0))],
-        "realized_label_counts": [int(v) for v in dataset.meta.get(
-            "realized_label_counts", dataset.L.sum(axis=0))],
         "exclusive_labels": [int(v) for v in
                              dataset.meta.get("exclusive_labels", [])],
         "spec": dataset.meta.get("spec", {}),
@@ -194,9 +195,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     root = Path(path)
-    m = _read_manifest(root)
-    if m.get("kind") != "dataset":
-        raise StoreError(f"{root} is not a dataset container")
+    m = _read_manifest(root, "dataset")
     meta_arrays = {}
     for name, entry in m["arrays"].items():
         if name.startswith("meta."):
@@ -210,8 +209,6 @@ def load_dataset(path) -> Dataset:
         meta={
             "spec": m["spec"],
             "label_counts": np.asarray(m["label_counts"], dtype=np.int64),
-            "realized_label_counts": np.asarray(
-                m["realized_label_counts"], dtype=np.int64),
             "exclusive_labels": np.asarray(m["exclusive_labels"],
                                            dtype=np.int64),
             "arrays": meta_arrays,
@@ -233,18 +230,11 @@ def save_codes(path, B: np.ndarray, info: Optional[dict] = None) -> None:
 
 def load_codes(path) -> tuple[np.ndarray, dict]:
     root = Path(path)
-    m = _read_manifest(root)
-    if m.get("kind") != "codes":
-        raise StoreError(f"{root} is not a codes container")
+    m = _read_manifest(root, "codes")
     return _read_array(root, m["arrays"]["codes"]), m["info"]
 
 
 # ------------------------------------------------------------- checkpoints
-
-def _net_manifest(net: nn.Mlp) -> list[dict]:
-    return [{"in": l.in_dim, "out": l.out_dim, "activation": l.activation}
-            for l in net.layers]
-
 
 def _save_net(root: Path, name: str, net: nn.Mlp, arrays: dict) -> list[dict]:
     for i, layer in enumerate(net.layers):
@@ -252,7 +242,8 @@ def _save_net(root: Path, name: str, net: nn.Mlp, arrays: dict) -> list[dict]:
             root, f"{name}.l{i}.weight", layer.weight)
         arrays[f"{name}.l{i}.bias"] = _write_array(
             root, f"{name}.l{i}.bias", layer.bias)
-    return _net_manifest(net)
+    return [{"in": l.in_dim, "out": l.out_dim, "activation": l.activation}
+            for l in net.layers]
 
 
 def _load_net(root: Path, name: str, spec: list[dict], arrays: dict) -> nn.Mlp:
@@ -323,9 +314,7 @@ def _load_calibration(root: Path, arrays: dict, mod: str
 
 def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
     root = Path(path)
-    m = _read_manifest(root)
-    if m.get("kind") != "checkpoint":
-        raise StoreError(f"{root} is not a checkpoint container")
+    m = _read_manifest(root, "checkpoint")
     if expect_phase is not None and m["phase"] != expect_phase:
         raise PhaseMismatchError(
             f"{root}: phase {m['phase']!r}, expected {expect_phase!r}")

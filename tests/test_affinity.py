@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,25 @@ def test_label_affinity_rejects_non_finite_features():
         with pytest.raises(ValueError, match=r"^x features hold 1 NaN or "
                                              r"infinite value\(s\)"):
             affinity.label_affinity(feats, L, name="x features")
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_label_affinity_rejects_overflowing_distances(workers, n_workers):
+    # finite features whose squared distances overflow float64: refused
+    # without a numpy warning, from the calling thread or a helper
+    workers(n_workers)
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((60, 5))
+    L = np.zeros((60, 3), dtype=np.uint8)
+    L[np.arange(60), np.arange(60) % 3] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 1e150 is still in range; the affinity stays finite
+        aff = affinity.label_affinity(feats * 1e150, L)
+        assert np.isfinite(aff.H).all() and np.isfinite(aff.R).all()
+        with pytest.raises(ValueError, match=r"^x features are too large "
+                                             r"for the label affinity"):
+            affinity.label_affinity(feats * 1e160, L, name="x features")
 
 
 def test_label_affinity_oracle():

@@ -1,11 +1,13 @@
 """End-to-end command-line interface: exit codes, files produced, resume."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tailhash import cli, store
+from tailhash import cli, datagen, experiment, store
 
 
 def run_cli(argv):
@@ -112,6 +114,79 @@ def test_gen_data_requires_out_or_env(tmp_path, monkeypatch, capsys):
 
 def test_unknown_subcommand_is_validation_error(capsys):
     assert run_cli(["frobnicate"]) == 1
+
+
+# gen-data's flags, names and types as they were declared by hand
+GEN_DATA_FLAGS = {
+    "--c": int, "--z1": int, "--mu": float, "--if": float,
+    "--raw-dim-x": int, "--raw-dim-y": int, "--shared-dim": int,
+    "--private-dim": int, "--noise-sigma": float,
+    "--exclusive-tail-fraction": float, "--secondary-label-prob": float,
+    "--seed": int, "--query-size": int, "--out": None, "--help": None}
+
+
+def _subparser(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def test_gen_data_flags_keep_their_names_and_types():
+    actions = _subparser("gen-data")._actions
+    assert {a.option_strings[-1]: a.type for a in actions} == GEN_DATA_FLAGS
+    assert {a.option_strings[0] for a in actions if a.required} == {"--c",
+                                                                   "--z1"}
+
+
+@pytest.mark.parametrize("command, cls, given", [
+    ("gen-data", datagen.LongTailSpec, ["--c", "4", "--z1", "40"]),
+    ("train", experiment.RunConfig, ["--dataset", "d"]),
+    ("ablate", experiment.RunConfig, ["--dataset", "d"])])
+def test_every_settings_field_has_one_flag_that_defaults_to_none(
+        command, cls, given):
+    actions = _subparser(command)._actions
+    for f in dataclasses.fields(cls):
+        flags = [s for a in actions if a.dest == f.name
+                 for s in a.option_strings]
+        assert len(flags) == 1, (f.name, flags)
+    args = cli.build_parser().parse_args([command, *given])
+    absent = [f.name for f in dataclasses.fields(cls)
+              if f.default is not dataclasses.MISSING]
+    assert {name: getattr(args, name) for name in absent} == dict.fromkeys(
+        absent, None)
+
+
+def test_gen_data_builds_the_spec_of_the_flags_given(tmp_path, monkeypatch):
+    specs = []
+    generate = datagen.generate
+    monkeypatch.setattr(datagen, "generate",
+                        lambda spec: specs.append(spec) or generate(spec))
+    out = tmp_path / "d"
+    assert run_cli(["gen-data", "--c", "4", "--z1", "40", "--if", "8",
+                    "--out", str(out)]) == 0
+    spec = datagen.LongTailSpec(c=4, z1=40, imbalance_factor=8)
+    assert specs == [spec]
+    # both records of the spec hold the whole spec, the derived mu too
+    manifest = json.loads((out / "dataset" / "manifest.json").read_text())
+    assert manifest["spec"] == dataclasses.asdict(spec)
+    run = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert {k: run[k] for k in manifest["spec"]} == dataclasses.asdict(spec)
+
+
+def test_gen_data_writes_the_bytes_of_the_library_path(tmp_path):
+    out = _gen(tmp_path, seed=3)
+    # --if parses to a float, which the manifest's spec records as such
+    spec = datagen.LongTailSpec(c=4, z1=40, imbalance_factor=8.0,
+                                raw_dim_x=10, raw_dim_y=8, shared_dim=3,
+                                private_dim=2, noise_sigma=0.3, seed=3)
+    lib = tmp_path / "lib"
+    store.save_dataset(datagen.split(datagen.generate(spec), 10, seed=3), lib)
+    names = sorted(p.name for p in lib.iterdir())
+    assert sorted(p.name for p in (out / "dataset").iterdir()) == names
+    for name in names:
+        assert (out / "dataset" / name).read_bytes() == \
+            (lib / name).read_bytes(), name
 
 
 # --------------------------------------------------------------------- train
@@ -448,6 +523,52 @@ def test_train_dataset_manifest_missing_key_is_one_line_error(tmp_path,
     _one_line_error(capsys, "error:", "base_indices")
 
 
+@pytest.mark.parametrize("command", ["encode", "eval", "ablate"])
+def test_dataset_manifest_missing_key_is_one_line_error(tmp_path, capsys,
+                                                        command):
+    data = _gen(tmp_path)
+    out = tmp_path / "out"
+    argv = {"ablate": ["ablate"]}
+    if command != "ablate":
+        run = _train(tmp_path, data)
+        qx = _encode(tmp_path, data, run, "x", "query", "e1")
+        by = _encode(tmp_path, data, run, "y", "base", "e2")
+        argv["encode"] = ["encode", "--checkpoint",
+                          str(run / "checkpoint_hash"), "--modality", "x"]
+        argv["eval"] = ["eval", "--query-codes", str(qx), "--base-codes",
+                        str(by), "--direction", "i2t"]
+    _drop_manifest_key(data / "dataset", "base_indices")
+    capsys.readouterr()
+    code = run_cli([*argv[command], "--dataset", str(data / "dataset"),
+                    "--out", str(out)])
+    assert code == 1
+    _one_line_error(capsys, "error:", "base_indices")
+    assert not out.exists()
+
+
+MALFORMED_MANIFESTS = {
+    "truncated": lambda text: text[:len(text) // 2],
+    "list": lambda text: b"[1, 2]",
+    "not_utf8": lambda text: text.replace(b'"dataset"', b'"\xff\xfe"', 1)}
+
+
+@pytest.mark.parametrize("damage", MALFORMED_MANIFESTS)
+def test_malformed_dataset_manifest_is_one_line_error(tmp_path, capsys,
+                                                      damage):
+    data = _gen(tmp_path)
+    path = data / "dataset" / "manifest.json"
+    path.write_bytes(MALFORMED_MANIFESTS[damage](path.read_bytes()))
+    capsys.readouterr()
+    out = tmp_path / "r"
+    code = run_cli(["train", "--dataset", str(data / "dataset"),
+                    "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a JSON")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_resume_checkpoint_manifest_missing_key_is_one_line_error(tmp_path,
                                                                   capsys):
     data = _gen(tmp_path)
@@ -600,6 +721,24 @@ def test_check_grad_inject_bug_fails(capsys):
     assert run_cli(["check-grad", "--seed", "0", "--inject-bug"]) == 3
     out = capsys.readouterr().out
     assert _suite_verdicts(out) == dict.fromkeys(SUITES, "FAIL")
+
+
+def test_train_overflowing_label_affinity_is_one_line_runtime_error(
+        tmp_path, capsys):
+    # finite features whose squared distances overflow float64
+    data = _gen(tmp_path)
+    ds = store.load_dataset(data / "dataset")
+    ds.Fx_raw *= 1e160
+    store.save_dataset(ds, tmp_path / "big" / "dataset")
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = run_cli(["train", "--dataset", str(tmp_path / "big" / "dataset"),
+                    "--out", str(out), "--k", "4", "--max-epochs", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: base x features are too large")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "checkpoint_ae").exists()
 
 
 def test_train_diverging_phase_one_is_one_line_runtime_error(tmp_path,

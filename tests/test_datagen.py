@@ -173,6 +173,13 @@ def test_spec_validation():
         datagen.LongTailSpec(c=4, z1=10, mu=1.0, secondary_label_prob=-0.1)
 
 
+@pytest.mark.parametrize("mu", [None, 1.0])
+def test_spec_rejects_imbalance_factor_not_above_one(mu):
+    # also when mu is given and the factor would go unused
+    with pytest.raises(ValueError, match="imbalance factor must exceed 1"):
+        datagen.LongTailSpec(c=4, z1=10, mu=mu, imbalance_factor=1.0)
+
+
 # ---------------------------------------------------------------------- split
 
 def test_split_zero_query_all_base():

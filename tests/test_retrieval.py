@@ -1,5 +1,7 @@
 """Query encoding, Hamming ranking, MAP and head/tail decomposition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,16 @@ def test_evaluate_rejects_head_count_outside_labels(head):
     Q, Lq, D, Lb = _tied_instance()             # c = 4
     with pytest.raises(ValueError, match="head count"):
         retrieval.evaluate("i2t", Q, Lq, D, Lb, Lb.sum(axis=0), head)
+
+
+def test_evaluate_head_count_defaults_to_half_the_labels():
+    Q, Lq, D, Lb = _tied_instance()             # c = 4
+    counts = Lb.sum(axis=0)
+    report = retrieval.evaluate("i2t", Q, Lq, D, Lb, counts)
+    assert report == dataclasses.replace(
+        retrieval.evaluate("i2t", Q, Lq, D, Lb, counts, 2),
+        runtime=report.runtime)
+    assert report.head_tail_split_index == 2
 
 
 def test_map_no_valid_queries_raises():

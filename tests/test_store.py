@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,36 @@ def test_dataset_version_mismatch_raises(tmp_path):
 def test_dataset_missing_path_raises(tmp_path):
     with pytest.raises(store.StoreError):
         store.load_dataset(tmp_path / "nothing_here")
+
+
+LOADERS = {"dataset": store.load_dataset, "codes": store.load_codes,
+           "checkpoint": store.load_checkpoint}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize("text, detail", [
+    (b'{"format_version": 5, "ki', "not a JSON manifest: Unterminated"),
+    (b"[1, 2]", "not a JSON object"),
+    (b"null", "not a JSON object"),
+    (b'{"kind": "\xff"}', "not a JSON manifest: 'utf-8' codec")],
+    ids=["truncated", "list", "null", "not_utf8"])
+def test_malformed_manifest_raises_store_error_naming_it(tmp_path, kind,
+                                                         text, detail):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(text)
+    with pytest.raises(store.StoreError,
+                       match=f"^{re.escape(str(path))}: {detail}"):
+        LOADERS[kind](tmp_path)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_container_of_another_kind_raises_store_error(tmp_path, kind):
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"format_version": store.FORMAT_VERSION, "kind": "other"}))
+    with pytest.raises(store.StoreError,
+                       match=f"^{re.escape(str(tmp_path))} is not a {kind} "
+                             f"container$"):
+        LOADERS[kind](tmp_path)
 
 
 # ---------------------------------------------------------------------- codes
