@@ -183,9 +183,10 @@ _U32 = 2.0 ** -24        # unit round-off of float32
 def _screen(features: np.ndarray) -> _Screen:
     """The float32 screen of ``features``, with its error bound.
 
-    The rows x are centred by their mean mu and scaled by a power of two s,
-    z = s (x - mu) with max |z| in [1/2, 1), which keeps float32 clear of
-    overflow. For a sample z and a member w, the screen value
+    The rows x are scaled by a power of two to max |x| < 1, so that their
+    mean mu cannot overflow, then centred and scaled by a power of two
+    again, z = s (x - mu) with max |z| in [1/2, 1), which keeps float32
+    clear of overflow. For a sample z and a member w, the screen value
     [z, 1] . [-2w, ||w||^2] = s^2 (||x - y||^2 - ||x - mu||^2), so along a
     row it orders the members as ||x - y||^2 does. Its float32 error is at
     most
@@ -200,21 +201,25 @@ def _screen(features: np.ndarray) -> _Screen:
     3u or more, which absorbs the float64 rounding of the centring, of
     ||z||^2, of the bound itself and of the measured distances, all of
     order 2^-53 per term. The floor covers float32 underflow of operands
-    and products, 2^-150 apiece, and float64 underflow of the measured
-    squares, 2^-1075 apiece before the scaling. The pass (_label_pass)
-    keeps every member within 2e of a row's smallest screen value, which
-    holds the member of least float64 ||x - y||^2. The centring and the
-    scaling leave that measurement alone: it reads the original features.
+    and products, 2^-150 apiece; float64 underflow of the measured squares,
+    2^-1075 apiece before the scaling; and the first scaling's, 2^-1075 per
+    coordinate before the second, which moves a screen value by less than
+    16 times that per coordinate. The pass (_label_pass) keeps every member
+    within 2e of a row's smallest screen value, which holds the member of
+    least float64 ||x - y||^2. The centring and the scalings leave that
+    measurement alone: it reads the original features.
     """
     n, d = features.shape
-    z = features - features.mean(axis=0)
-    top = np.abs(z).max(initial=0.0)
-    shift = -int(np.frexp(top)[1]) if top > 0 else 0
+    pre = -int(np.frexp(np.abs(features).max(initial=0.0))[1])
+    z = np.ldexp(features, pre)
+    z -= z.mean(axis=0)
+    shift = -int(np.frexp(np.abs(z).max(initial=0.0))[1])
     np.ldexp(z, shift, out=z)
     rows = np.empty((n, d + 1), dtype=np.float32)
     rows[:, :d] = z
     rows[:, d] = 1.0
-    floor = (d + 1) * (2.0 ** -144 + float(np.ldexp(1.0, 2 * shift - 1074)))
+    floor = (d + 1) * float(2.0 ** -144 + np.ldexp(1.0, shift - 1071)
+                            + np.ldexp(1.0, 2 * (pre + shift) - 1074))
     return _Screen(rows, np.einsum("ij,ij->i", z, z),
                    (2 * d + 8) * _U32 / (1 - (d + 1) * _U32), floor)
 

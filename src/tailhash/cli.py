@@ -127,12 +127,6 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _dataset_fingerprint(dataset: datagen.Dataset) -> dict[str, int]:
-    """CRC-32 of each feature array, as the dataset container records it."""
-    return {"features_x_crc32": store.array_crc32(dataset.Fx_raw),
-            "features_y_crc32": store.array_crc32(dataset.Fy_raw)}
-
-
 def _check_resumable(path: Path, ckpt: store.Checkpoint,
                      cfg: experiment.RunConfig,
                      dataset: datagen.Dataset) -> None:
@@ -146,7 +140,7 @@ def _check_resumable(path: Path, ckpt: store.Checkpoint,
                ("raw_dim_y", ckpt.icae.enc_ind_y.in_dim,
                 dataset.Fy_raw.shape[1])]
     checks += [(name, ckpt.hyper[name], want)
-               for name, want in _dataset_fingerprint(dataset).items()]
+               for name, want in dataset.meta["fingerprint"].items()]
     for name, have, want in checks:
         if have != want:
             raise CliError(f"cannot resume from {path}: checkpoint has "
@@ -171,7 +165,7 @@ def cmd_train(args) -> int:
     else:
         icae, side, trace1 = experiment.train_phase1(dataset, cfg)
         store.save_checkpoint(ae_path, "ae", icae, side,
-                              dict(hyper, **_dataset_fingerprint(dataset)),
+                              dict(hyper, **dataset.meta["fingerprint"]),
                               trace1)
     side, B, trace2 = experiment.train_phase2(dataset, cfg, icae, side,
                                               variant)
@@ -227,13 +221,12 @@ def cmd_eval(args) -> int:
             raise CliError(f"{path}: {codes.shape[1]} codes, but the "
                            f"dataset's {split} split has {labels.shape[0]} "
                            f"items")
-    counts = dataset.meta.get("label_counts", Lb.sum(axis=0))
     report = retrieval.evaluate(args.direction, q_codes, Lq, b_codes, Lb,
-                                counts, args.head_count, topR=args.top_r,
+                                dataset.meta["label_counts"],
+                                args.head_count, topR=args.top_r,
                                 variant=q_info.get("variant", "full"))
     stem = out / f"report_{args.direction}"
-    store.emit_report(report, "json", stem.with_suffix(".json"))
-    store.emit_report(report, "csv", stem.with_suffix(".csv"))
+    store.write_reports(report, stem)
     print(f"{args.direction} MAP {report.map:.6f} "
           f"(head {report.head_map}, tail {report.tail_map}); "
           f"reports at {stem}.json/.csv")
@@ -257,9 +250,7 @@ def cmd_ablate(args) -> int:
         reports = experiment.evaluate_model(dataset, model,
                                             head_count=args.head_count)
         for direction, report in reports.items():
-            stem = out / f"report_{name}_{direction}"
-            store.emit_report(report, "json", stem.with_suffix(".json"))
-            store.emit_report(report, "csv", stem.with_suffix(".csv"))
+            store.write_reports(report, out / f"report_{name}_{direction}")
         summary[name] = {d: r.map for d, r in reports.items()}
         print(f"{name}: i2t={summary[name]['i2t']:.4f} "
               f"t2i={summary[name]['t2i']:.4f}")

@@ -1,20 +1,23 @@
 """Bit-exact on-disk formats for datasets, checkpoints, codes and reports.
 
 Each container is a directory holding a ``manifest.json`` plus one raw binary
-file per matrix: little-endian float64 row-major for real arrays, one byte
-per cell (0/1) for label matrices, packed bits for hash codes (-1 stored as
-0, in ``codes.bin``). Every array has one entry under the manifest's
+file per named array: little-endian float64 row-major for real arrays, one
+byte per cell (0/1) for label matrices, packed bits for hash codes (-1
+stored as 0). One writer, ``_save``, writes every container and one reader,
+``_load``, reads every one: each array has an entry under the manifest's
 ``arrays`` with its file, dtype, shape and CRC-32, and is checked against
-all of them on load. All formats share one ``format_version``, and a
-container of any other version is refused.
+all of them. All formats share one ``format_version``; a container of
+another version or kind is refused. A loader maps its record onto named
+arrays (a net's layers ``<net>.l<i>.weight|bias``, a modality's
+calibration ``icae.<mod>.<field>``, hash codes ``codes``) and checks the
+type of every manifest value it reads, that codes are a matrix and, in a
+dataset, that features and labels have as many rows, one count per label
+and split indices in 0..n-1 that appear once. These failures and a
+missing key raise StoreError naming the manifest; an array file that
+does not fit its entry raises one naming the file.
 
-Version 5 checkpoints hold the five autoencoder nets, each modality's
-calibration record (``icae.<modality>.<field>``: the individuality centring
-and scale, the commonality scale and the label memory), a single
-(commonality) selector per modality and, after phase 2, the unified codes
-B. Their ``hyper`` is the caller's record of the run (the CLI writes the
-whole run configuration plus the dataset fingerprint or the variant); this
-module does not interpret it.
+A checkpoint's ``hyper`` is the caller's record of the run, which this
+module stores as given.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import zlib
 from pathlib import Path
 from typing import Optional
@@ -74,57 +78,28 @@ def unpack_codes(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     return np.where(bits.reshape(shape) > 0, 1.0, -1.0)
 
 
-def _array_bytes(arr: np.ndarray, dtype: Optional[str] = None
-                 ) -> tuple[str, bytes]:
-    """(dtype name, bytes) of an array as written to disk; dtype BITS packs
-    a +/-1 matrix, otherwise the dtype follows the array."""
-    if dtype == BITS:
-        return BITS, pack_codes(arr)
-    if arr.dtype == np.uint8:
-        return "uint8", np.ascontiguousarray(arr).tobytes()
-    return "float64", np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _are_counts(v) -> bool:     # JSON true and false are not integers
+    return (isinstance(v, list) and set(map(type, v)) <= {int}
+            and min(v, default=0) >= 0 and max(v, default=0) < 2 ** 63)
 
 
-def array_crc32(arr: np.ndarray) -> int:
-    """CRC-32 of an array's on-disk bytes, as its manifest entry records it."""
-    return zlib.crc32(_array_bytes(arr)[1])
+# what a manifest value must be -> its test
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a string": lambda v: isinstance(v, str),
+    "a non-negative integer": lambda v: _are_counts([v]),
+    "a list of non-negative integers": _are_counts,
+    "a list of numbers": lambda v: (
+        isinstance(v, list) and all(type(x) in (int, float) for x in v)),
+    "a non-empty list": lambda v: isinstance(v, list) and len(v) > 0,
+}
 
 
-def _write_array(root: Path, name: str, arr: np.ndarray,
-                 dtype: Optional[str] = None) -> dict:
-    dtype, data = _array_bytes(arr, dtype)
-    fname = name + ".bin"
-    (root / fname).write_bytes(data)
-    return {"file": fname, "dtype": dtype, "shape": list(arr.shape),
-            "crc32": zlib.crc32(data)}
-
-
-def _read_array(root: Path, entry: dict) -> np.ndarray:
-    path = root / entry["file"]
-    try:
-        data = path.read_bytes()
-    except OSError as e:
-        raise StoreError(f"cannot read {path}: {e}") from e
-    shape = tuple(entry["shape"])
-    kind = entry["dtype"]
-    if kind == BITS:
-        expected = (int(np.prod(shape)) + 7) // 8
-    elif kind in _DTYPES:
-        expected = int(np.prod(shape)) * np.dtype(_DTYPES[kind]).itemsize
-    else:
-        raise StoreError(f"{path}: unknown dtype {kind!r}")
-    if len(data) != expected:
-        raise TruncatedFileError(
-            f"{path}: expected {expected} bytes, found {len(data)}")
-    if zlib.crc32(data) != entry["crc32"]:
-        raise ChecksumError(f"{path}: CRC-32 mismatch")
-    if kind == BITS:
-        return unpack_codes(data, shape)
-    return np.frombuffer(data, dtype=_DTYPES[kind]).reshape(shape).copy()
-
-
-def _write_manifest(root: Path, manifest: dict) -> None:
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
+def _checked(value, kind: str, path: Path, name: str):
+    """``value``, the manifest ``path``'s ``name``, which must be ``kind``."""
+    if not _KINDS[kind](value):
+        raise StoreError(f"{path}: {name} must be {kind}")
+    return value
 
 
 class _Manifest(dict):
@@ -137,123 +112,154 @@ class _Manifest(dict):
     def __missing__(self, key):
         raise StoreError(f"{self.path}: missing key {key!r}")
 
+    def get_as(self, key: str, kind: str, name: Optional[str] = None):
+        """self[key], which must be ``kind`` (an error calls it ``name``)."""
+        return _checked(self[key], kind, self.path, name or key)
 
-def _read_manifest(root: Path, kind: str) -> dict:
-    """The manifest of the ``kind`` container at ``root``; StoreError names
-    one that is missing, not a UTF-8 JSON object, or of another version or
-    kind."""
-    path = Path(root) / "manifest.json"
-    if not path.is_file():
-        raise StoreError(f"no manifest at {path}")
+
+def _save(path, kind: str, arrays: dict[str, np.ndarray], bits=(),
+          **fields) -> None:
+    """Write the ``kind`` container at ``path``: a manifest of ``fields`` and
+    ``arrays``, one file per array, bit-packed for the names in ``bits``."""
+    root = Path(path)
+    root.mkdir(parents=True, exist_ok=True)
+    entries = {}
+    for name, arr in arrays.items():
+        if name in bits:
+            dtype, data = BITS, pack_codes(arr)
+        elif arr.dtype == np.uint8:
+            dtype, data = "uint8", np.ascontiguousarray(arr).tobytes()
+        else:
+            dtype, data = "float64", np.ascontiguousarray(arr, "<f8").tobytes()
+        (root / f"{name}.bin").write_bytes(data)
+        entries[name] = {"file": f"{name}.bin", "dtype": dtype,
+                         "shape": list(arr.shape), "crc32": zlib.crc32(data)}
+    manifest = {"format_version": FORMAT_VERSION, "kind": kind, **fields,
+                "arrays": entries}
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
+
+
+def _read_array(path: Path, dtype: str, shape, crc32) -> np.ndarray:
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"),
-                              object_pairs_hook=lambda p: _Manifest(p, path))
+        data = path.read_bytes()
+    except OSError as e:
+        raise StoreError(f"cannot read {path}: {e}") from e
+    if dtype == BITS:
+        expected = (math.prod(shape) + 7) // 8
+    elif dtype in _DTYPES:
+        expected = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
+    else:
+        raise StoreError(f"{path}: unknown dtype {dtype!r}")
+    if len(data) != expected:
+        raise TruncatedFileError(
+            f"{path}: expected {expected} bytes, found {len(data)}")
+    if zlib.crc32(data) != crc32:
+        raise ChecksumError(f"{path}: CRC-32 mismatch")
+    if dtype == BITS:
+        return unpack_codes(data, shape)
+    return np.frombuffer(data, dtype=_DTYPES[dtype]).reshape(shape).copy()
+
+
+def _load(path, kind: str) -> tuple[_Manifest, _Manifest]:
+    """The manifest of the ``kind`` container at ``path`` and its arrays by
+    name, which raise StoreError for a missing name, as the manifest does."""
+    root = Path(path)
+    mpath = root / "manifest.json"
+    if not mpath.is_file():
+        raise StoreError(f"no manifest at {mpath}")
+    try:
+        m = json.loads(mpath.read_text(encoding="utf-8"),
+                       object_pairs_hook=lambda p: _Manifest(p, mpath))
     except ValueError as e:     # not UTF-8, or not JSON
-        raise StoreError(f"{path}: not a JSON manifest: {e}") from e
-    if not isinstance(manifest, _Manifest):
-        raise StoreError(f"{path}: not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
+        raise StoreError(f"{mpath}: not a JSON manifest: {e}") from e
+    if not isinstance(m, _Manifest):
+        raise StoreError(f"{mpath}: not a JSON object")
+    if m.get("format_version") != FORMAT_VERSION:
         raise FormatVersionError(
-            f"{path}: format_version {manifest.get('format_version')}, "
+            f"{mpath}: format_version {m.get('format_version')}, "
             f"expected {FORMAT_VERSION}")
-    if manifest.get("kind") != kind:
+    if m.get("kind") != kind:
         raise StoreError(f"{root} is not a {kind} container")
-    return manifest
+    arrays = _Manifest({}, mpath)
+    for name, entry in m.get_as("arrays", "an object").items():
+        at = f"arrays.{name}"
+        _checked(entry, "an object", mpath, at)
+        arrays[name] = _read_array(
+            root / entry.get_as("file", "a string", at + ".file"),
+            entry.get_as("dtype", "a string", at + ".dtype"),
+            tuple(entry.get_as("shape", "a list of non-negative integers",
+                               at + ".shape")),
+            entry.get_as("crc32", "a non-negative integer", at + ".crc32"))
+    return m, arrays
 
 
 # ---------------------------------------------------------------- datasets
 
 def save_dataset(dataset: Dataset, path) -> None:
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        "features_x": _write_array(root, "features_x", dataset.Fx_raw),
-        "features_y": _write_array(root, "features_y", dataset.Fy_raw),
-        "labels": _write_array(root, "labels",
-                               dataset.L.astype(np.uint8)),
-    }
+    arrays = {"features_x": dataset.Fx_raw, "features_y": dataset.Fy_raw,
+              "labels": dataset.L.astype(np.uint8)}
     for name, arr in dataset.meta.get("arrays", {}).items():
-        arrays["meta." + name] = _write_array(root, "meta." + name, arr)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "dataset",
-        "n": int(dataset.n),
-        "c": int(dataset.c),
-        "raw_dim_x": int(dataset.Fx_raw.shape[1]),
-        "raw_dim_y": int(dataset.Fy_raw.shape[1]),
-        "label_counts": [int(v) for v in dataset.meta.get(
-            "label_counts", dataset.L.sum(axis=0))],
-        "exclusive_labels": [int(v) for v in
-                             dataset.meta.get("exclusive_labels", [])],
-        "spec": dataset.meta.get("spec", {}),
-        "base_indices": [int(i) for i in dataset.base_indices],
-        "query_indices": [int(i) for i in dataset.query_indices],
-        "arrays": arrays,
-    }
-    _write_manifest(root, manifest)
+        arrays["meta." + name] = arr
+    _save(path, "dataset", arrays,
+          n=int(dataset.n),
+          c=int(dataset.c),
+          raw_dim_x=int(dataset.Fx_raw.shape[1]),
+          raw_dim_y=int(dataset.Fy_raw.shape[1]),
+          label_counts=[int(v) for v in dataset.meta.get(
+              "label_counts", dataset.L.sum(axis=0))],
+          exclusive_labels=[int(v) for v in
+                            dataset.meta.get("exclusive_labels", [])],
+          spec=dataset.meta.get("spec", {}),
+          base_indices=[int(i) for i in dataset.base_indices],
+          query_indices=[int(i) for i in dataset.query_indices])
 
 
 def load_dataset(path) -> Dataset:
-    root = Path(path)
-    m = _read_manifest(root, "dataset")
-    meta_arrays = {}
-    for name, entry in m["arrays"].items():
-        if name.startswith("meta."):
-            meta_arrays[name[len("meta."):]] = _read_array(root, entry)
-    return Dataset(
-        Fx_raw=_read_array(root, m["arrays"]["features_x"]),
-        Fy_raw=_read_array(root, m["arrays"]["features_y"]),
-        L=_read_array(root, m["arrays"]["labels"]),
-        base_indices=np.asarray(m["base_indices"], dtype=np.int64),
-        query_indices=np.asarray(m["query_indices"], dtype=np.int64),
-        meta={
-            "spec": m["spec"],
-            "label_counts": np.asarray(m["label_counts"], dtype=np.int64),
-            "exclusive_labels": np.asarray(m["exclusive_labels"],
-                                           dtype=np.int64),
-            "arrays": meta_arrays,
-        })
+    """The dataset at ``path``; ``meta["fingerprint"]`` holds the CRC-32s
+    of its feature arrays, as this load verified them."""
+    m, arrays = _load(path, "dataset")
+    Fx, Fy, L = arrays["features_x"], arrays["features_y"], arrays["labels"]
+    if not Fx.ndim == Fy.ndim == L.ndim == 2 or not (
+            Fx.shape[0] == Fy.shape[0] == L.shape[0]):
+        raise StoreError(f"{m.path}: features and labels of shapes {Fx.shape}"
+                         f", {Fy.shape}, {L.shape} are not as many rows")
+    n, c = L.shape
+    ints = {key: np.asarray(m.get_as(key, "a list of non-negative integers"),
+                            dtype=np.int64)
+            for key in ("base_indices", "query_indices", "label_counts",
+                        "exclusive_labels")}
+    if ints["label_counts"].size != c:
+        raise StoreError(f"{m.path}: label_counts must hold {c} counts")
+    split = np.concatenate([ints["base_indices"], ints["query_indices"]])
+    if np.any(split >= n) or np.bincount(split).max(initial=0) > 1:
+        raise StoreError(f"{m.path}: the split indices must name samples "
+                         f"0..{n - 1}, each at most once")
+    return Dataset(Fx, Fy, L, ints["base_indices"], ints["query_indices"],
+                   meta={"spec": m["spec"],
+                         "label_counts": ints["label_counts"],
+                         "exclusive_labels": ints["exclusive_labels"],
+                         "arrays": {name[len("meta."):]: arr
+                                    for name, arr in arrays.items()
+                                    if name.startswith("meta.")},
+                         "fingerprint": {
+                             f"{name}_crc32": m["arrays"][name]["crc32"]
+                             for name in ("features_x", "features_y")}})
 
 
 # ------------------------------------------------------------------- codes
 
 def save_codes(path, B: np.ndarray, info: Optional[dict] = None) -> None:
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    _write_manifest(root, {
-        "format_version": FORMAT_VERSION,
-        "kind": "codes",
-        "arrays": {"codes": _write_array(root, "codes", B, BITS)},
-        "info": info or {},
-    })
+    _save(path, "codes", {"codes": B}, bits=("codes",), info=info or {})
 
 
 def load_codes(path) -> tuple[np.ndarray, dict]:
-    root = Path(path)
-    m = _read_manifest(root, "codes")
-    return _read_array(root, m["arrays"]["codes"]), m["info"]
+    m, arrays = _load(path, "codes")
+    if arrays["codes"].ndim != 2:
+        raise StoreError(f"{m.path}: codes must be a (k, n) matrix")
+    return arrays["codes"], m.get_as("info", "an object")
 
 
 # ------------------------------------------------------------- checkpoints
-
-def _save_net(root: Path, name: str, net: nn.Mlp, arrays: dict) -> list[dict]:
-    for i, layer in enumerate(net.layers):
-        arrays[f"{name}.l{i}.weight"] = _write_array(
-            root, f"{name}.l{i}.weight", layer.weight)
-        arrays[f"{name}.l{i}.bias"] = _write_array(
-            root, f"{name}.l{i}.bias", layer.bias)
-    return [{"in": l.in_dim, "out": l.out_dim, "activation": l.activation}
-            for l in net.layers]
-
-
-def _load_net(root: Path, name: str, spec: list[dict], arrays: dict) -> nn.Mlp:
-    layers = []
-    for i, ls in enumerate(spec):
-        w = _read_array(root, arrays[f"{name}.l{i}.weight"])
-        b = _read_array(root, arrays[f"{name}.l{i}.bias"])
-        layers.append(nn.DenseLayer(w, b, ls["activation"]))
-    return nn.Mlp(layers)
-
 
 @dataclasses.dataclass
 class Checkpoint:
@@ -265,6 +271,13 @@ class Checkpoint:
     B: Optional[np.ndarray] = None
 
 
+def _layer_arrays(nets: dict[str, nn.Mlp]) -> dict[str, np.ndarray]:
+    return {f"{name}.l{i}.{part}": getattr(layer, part)
+            for name, net in nets.items()
+            for i, layer in enumerate(net.layers)
+            for part in ("weight", "bias")}
+
+
 def save_checkpoint(path, phase: str, icae: autoencoder.IcaeParams,
                     side: meta.HashSideParams, hyper: dict,
                     loss_trace: list[float],
@@ -273,90 +286,80 @@ def save_checkpoint(path, phase: str, icae: autoencoder.IcaeParams,
         raise ValueError("phase must be 'ae' or 'hash'")
     if icae.calibration is None:
         raise ValueError("calibrate the autoencoder before saving it")
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    arrays: dict = {}
-    nets = {}
-    for name, net in icae.nets().items():
-        nets["icae." + name] = _save_net(root, "icae." + name, net, arrays)
-    for mod, cal in icae.calibration.items():
-        for field in dataclasses.fields(cal):
-            key = f"icae.{mod}.{field.name}"
-            arrays[key] = _write_array(
-                root, key, np.atleast_1d(getattr(cal, field.name)))
-    for mod in ("x", "y"):
-        sv = getattr(side, mod)
-        for part in ("projector", "selector1"):
-            key = f"side.{mod}.{part}"
-            nets[key] = _save_net(root, key, getattr(sv, part), arrays)
+    nets = {"icae." + name: net for name, net in icae.nets().items()}
+    arrays = _layer_arrays(nets)
+    arrays.update({f"icae.{mod}.{f.name}": np.atleast_1d(getattr(cal, f.name))
+                   for mod, cal in icae.calibration.items()
+                   for f in dataclasses.fields(cal)})
+    side_nets = {f"side.{mod}.{part}": getattr(getattr(side, mod), part)
+                 for mod in ("x", "y") for part in ("projector", "selector1")}
+    arrays.update(_layer_arrays(side_nets))
+    nets.update(side_nets)
     if B is not None:
-        arrays["codes"] = _write_array(root, "codes", B, BITS)
-    _write_manifest(root, {
-        "format_version": FORMAT_VERSION,
-        "kind": "checkpoint",
-        "phase": phase,
-        "hyper": hyper,
-        "loss_trace": [float(v) for v in loss_trace],
-        "nets": nets,
-        "arrays": arrays,
-    })
-
-
-def _load_calibration(root: Path, arrays: dict, mod: str
-                      ) -> autoencoder.Calibration:
-    values = {}
-    for field in dataclasses.fields(autoencoder.Calibration):
-        arr = _read_array(root, arrays[f"icae.{mod}.{field.name}"])
-        # scalars are stored as one-element arrays
-        values[field.name] = float(arr[0]) if field.type == "float" else arr
-    return autoencoder.Calibration(**values)
+        arrays["codes"] = B
+    _save(path, "checkpoint", arrays, bits=("codes",), phase=phase,
+          hyper=hyper, loss_trace=[float(v) for v in loss_trace],
+          nets={name: [{"in": l.in_dim, "out": l.out_dim,
+                        "activation": l.activation} for l in net.layers]
+                for name, net in nets.items()})
 
 
 def load_checkpoint(path, expect_phase: Optional[str] = None) -> Checkpoint:
-    root = Path(path)
-    m = _read_manifest(root, "checkpoint")
+    m, arrays = _load(path, "checkpoint")
     if expect_phase is not None and m["phase"] != expect_phase:
-        raise PhaseMismatchError(
-            f"{root}: phase {m['phase']!r}, expected {expect_phase!r}")
-    # m["nets"] is a manifest object: a missing net raises StoreError
-    net = lambda name: _load_net(root, name, m["nets"][name], m["arrays"])
-    # m["arrays"] is a manifest object too: a missing array raises StoreError
+        raise PhaseMismatchError(f"{m.path.parent}: phase {m['phase']!r}, "
+                                 f"expected {expect_phase!r}")
+    specs = m.get_as("nets", "an object")
+
+    def net(name: str) -> nn.Mlp:
+        at = f"nets.{name}"
+        layers = _checked(specs[name], "a non-empty list", m.path, at)
+        try:
+            return nn.Mlp([nn.DenseLayer(
+                arrays[f"{name}.l{i}.weight"], arrays[f"{name}.l{i}.bias"],
+                _checked(layer, "an object", m.path, f"{at}[{i}]").get_as(
+                    "activation", "a string", f"{at}[{i}].activation"))
+                for i, layer in enumerate(layers)])
+        except ValueError as e:     # a bad activation or shape
+            raise StoreError(f"{m.path}: {at}: {e}") from e
+
+    def calibration(mod: str) -> autoencoder.Calibration:
+        values = {}
+        for field in dataclasses.fields(autoencoder.Calibration):
+            arr = arrays[f"icae.{mod}.{field.name}"]
+            # scalars are stored as one-element arrays
+            values[field.name] = (float(arr.flat[0]) if field.type == "float"
+                                  else arr)
+        return autoencoder.Calibration(**values)
+
     icae = autoencoder.IcaeParams(
         enc_ind_x=net("icae.enc_ind_x"), enc_ind_y=net("icae.enc_ind_y"),
         enc_common=net("icae.enc_common"),
         dec_x=net("icae.dec_x"), dec_y=net("icae.dec_y"),
-        calibration={mod: _load_calibration(root, m["arrays"], mod)
-                     for mod in ("x", "y")})
+        calibration={mod: calibration(mod) for mod in ("x", "y")})
     side = meta.HashSideParams(
         x=meta.ModalitySide(net("side.x.projector"), net("side.x.selector1")),
         y=meta.ModalitySide(net("side.y.projector"), net("side.y.selector1")))
-    B = (_read_array(root, m["arrays"]["codes"])
-         if "codes" in m["arrays"] else None)
     return Checkpoint(phase=m["phase"], icae=icae, side=side,
-                      hyper=m["hyper"], loss_trace=m["loss_trace"], B=B)
+                      hyper=m.get_as("hyper", "an object"),
+                      loss_trace=m.get_as("loss_trace", "a list of numbers"),
+                      B=arrays.get("codes"))
 
 
 # ----------------------------------------------------------------- reports
 
-def emit_report(report: EvalReport, fmt: str, path) -> None:
-    """Serialize an evaluation report as JSON or a flat one-row CSV."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        doc = dataclasses.asdict(report)
-        doc["format_version"] = FORMAT_VERSION
-        path.write_text(json.dumps(doc, indent=1))
-    elif fmt == "csv":
-        prec = ";".join(f"{k}:{v:.6f}" for k, v in report.precision_at)
-        row = [report.direction, report.variant, f"{report.map:.6f}",
-               "" if report.head_map is None else f"{report.head_map:.6f}",
-               "" if report.tail_map is None else f"{report.tail_map:.6f}",
-               report.head_tail_split_index, report.n_queries,
-               report.n_excluded, prec, f"{report.runtime:.3f}"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_HEADER)
-            w.writerow(row)
-    else:
-        raise ValueError("format must be 'json' or 'csv'")
-
+def write_reports(report: EvalReport, stem) -> None:
+    """Write an evaluation report as ``<stem>.json`` and as a flat one-row
+    ``<stem>.csv``."""
+    Path(stem).parent.mkdir(parents=True, exist_ok=True)
+    doc = dataclasses.asdict(report)
+    doc["format_version"] = FORMAT_VERSION
+    Path(f"{stem}.json").write_text(json.dumps(doc, indent=1))
+    prec = ";".join(f"{k}:{v:.6f}" for k, v in report.precision_at)
+    row = [report.direction, report.variant, f"{report.map:.6f}",
+           "" if report.head_map is None else f"{report.head_map:.6f}",
+           "" if report.tail_map is None else f"{report.tail_map:.6f}",
+           report.head_tail_split_index, report.n_queries,
+           report.n_excluded, prec, f"{report.runtime:.3f}"]
+    with open(f"{stem}.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([CSV_HEADER, row])

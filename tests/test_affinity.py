@@ -159,6 +159,27 @@ def test_label_affinity_rejects_overflowing_distances(workers, n_workers):
             affinity.label_affinity(feats * 1e160, L, name="x features")
 
 
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_label_affinity_exact_beside_a_huge_constant_column(workers,
+                                                            n_workers):
+    # a constant column adds nothing to any distance, however large: the
+    # screen's centring must not overflow on it, nor warn
+    workers(n_workers)
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((60, 5))
+    L = np.zeros((60, 3), dtype=np.uint8)
+    L[np.arange(60), np.arange(60) % 3] = 1
+    zeroed = feats.copy()
+    zeroed[:, 0] = 0.0
+    feats[:, 0] = 1e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = affinity.label_affinity(feats, L)
+        want = affinity.label_affinity(zeroed, L)
+    np.testing.assert_array_equal(got.H, want.H)
+    np.testing.assert_array_equal(got.R, want.R)
+
+
 def test_label_affinity_oracle():
     # blocked nearest-member pass vs per-pair avg_hausdorff, multi-block
     # instances with shared samples; an injected bug must be caught
@@ -446,5 +467,22 @@ def test_nearest_member_pass_equals_float64_oracle(monkeypatch, block,
         members[:2, 4] = True
         got = affinity._nearest_member_sq_dists(
             np.asarray(feats, order=order), members)
+        np.testing.assert_array_equal(got,
+                                      _brute_nearest_sq_dists(feats, members))
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-15])
+def test_nearest_member_pass_exact_when_the_first_scaling_underflows(scale):
+    # beside a column at 2^1019, scaling the features to max |x| < 1 leaves
+    # the other columns a few subnormal bits; the screen's floor must cover
+    # that loss, or it drops nearest members
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        feats = np.zeros((60, 3))
+        feats[:, 0] = 2.0 ** 1019
+        feats[:, 1:] = scale * rng.standard_normal((60, 2))
+        members = rng.random((60, 4)) < [0.5, 0.3, 0.2, 0.1]
+        members[members.sum(axis=1) == 0, 0] = True
+        got = affinity._nearest_member_sq_dists(feats, members)
         np.testing.assert_array_equal(got,
                                       _brute_nearest_sq_dists(feats, members))

@@ -3,6 +3,8 @@
 import argparse
 import dataclasses
 import json
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -657,6 +659,108 @@ def test_eval_codes_manifest_missing_key_is_one_line_error(tmp_path, capsys):
                     "--direction", "i2t", "--out", str(tmp_path / "ev")])
     assert code == 1
     _one_line_error(capsys, "error:", "shape")
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A dataset, a trained run and two codes containers, made once; each
+    test works on its own copy."""
+    root = tmp_path_factory.mktemp("pipeline")
+    data = _gen(root)
+    run = _train(root, data)
+    _encode(root, data, run, "x", "query", "e1")
+    _encode(root, data, run, "y", "base", "e2")
+    return root
+
+
+def _set_manifest_value(*keys, value):
+    """An edit that sets manifest[keys[0]]...[keys[-1]] to ``value``."""
+    def put(manifest):
+        for key in keys[:-1]:
+            manifest = manifest[key]
+        manifest[keys[-1]] = value
+    return lambda container: _edit_manifest(container, put)
+
+
+def _drop_label_rows(container):
+    """Cut the labels three rows short, with a shape and CRC-32 that fit."""
+    path = container / "labels.bin"
+    manifest = json.loads((container / "manifest.json").read_text())
+    c = manifest["arrays"]["labels"]["shape"][1]
+    data = path.read_bytes()[:-3 * c]
+    path.write_bytes(data)
+    _edit_manifest(container, lambda m: m["arrays"]["labels"].update(
+        shape=[len(data) // c, c], crc32=zlib.crc32(data)))
+
+
+def _flatten_codes(container):
+    """Give the codes as one row of as many bits; the byte count fits."""
+    def flatten(manifest):
+        k, n = manifest["arrays"]["codes"]["shape"]
+        manifest["arrays"]["codes"]["shape"] = [k * n]
+    _edit_manifest(container, flatten)
+
+
+BAD_ARTIFACTS = {
+    "arrays_list": ("dataset", _set_manifest_value("arrays", value=[1])),
+    "features_x_list": ("dataset", _set_manifest_value(
+        "arrays", "features_x", value=[1])),
+    "shape_string": ("dataset", _set_manifest_value(
+        "arrays", "features_x", "shape", value="ab")),
+    "base_indices_string": ("dataset", _set_manifest_value(
+        "base_indices", value="ab")),
+    "base_index_out_of_range": ("dataset", _set_manifest_value(
+        "base_indices", 0, value=10 ** 6)),
+    "query_index_negative": ("dataset", _set_manifest_value(
+        "query_indices", 0, value=-1)),
+    "labels_short": ("dataset", _drop_label_rows),
+    "net_integer": ("checkpoint", _set_manifest_value(
+        "nets", "icae.enc_ind_x", value=5)),
+    "hyper_list": ("checkpoint", _set_manifest_value("hyper", value=[1])),
+    "activation_relu": ("checkpoint", _set_manifest_value(
+        "nets", "icae.enc_ind_x", 0, "activation", value="relu")),
+    "info_list": ("codes", _set_manifest_value("info", value=[1])),
+    "codes_one_row": ("codes", _flatten_codes),
+}
+
+
+def _bad_artifact_cases():
+    commands = {"dataset": ["train", "eval"],
+                "checkpoint": ["resume", "encode"], "codes": ["eval"]}
+    return [pytest.param(command, damage, id=f"{command}-{damage}")
+            for damage, (kind, _) in BAD_ARTIFACTS.items()
+            for command in commands[kind]]
+
+
+@pytest.mark.parametrize("command, damage", _bad_artifact_cases())
+def test_malformed_or_inconsistent_artifact_is_one_line_error(
+        pipeline, tmp_path, capsys, command, damage):
+    # exit 1 with one error: line that names the manifest, never a
+    # traceback, whichever command reads the artifact
+    root = tmp_path / "p"
+    shutil.copytree(pipeline, root)
+    data, run = root / "d" / "dataset", root / "run"
+    qx, by = root / "e1" / "codes_x_query", root / "e2" / "codes_y_base"
+    train = ["train", "--dataset", str(data), "--k", "4", "--max-epochs",
+             "2", "--seed", "0"]
+    argv = {"train": [*train, "--out", str(root / "r2")],
+            "resume": [*train, "--out", str(run), "--resume"],
+            "encode": ["encode", "--checkpoint", str(run / "checkpoint_hash"),
+                       "--dataset", str(data), "--modality", "x",
+                       "--out", str(root / "e3")],
+            "eval": ["eval", "--query-codes", str(qx), "--base-codes",
+                     str(by), "--dataset", str(data), "--direction", "i2t",
+                     "--out", str(root / "ev")]}[command]
+    kind, edit = BAD_ARTIFACTS[damage]
+    ckpt = run / ("checkpoint_ae" if command == "resume"
+                  else "checkpoint_hash")
+    container = {"dataset": data, "codes": by, "checkpoint": ckpt}[kind]
+    edit(container)
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {container / 'manifest.json'}: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 # -------------------------------------------------------------------- ablate

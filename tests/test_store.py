@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -106,6 +107,57 @@ def test_container_of_another_kind_raises_store_error(tmp_path, kind):
         LOADERS[kind](tmp_path)
 
 
+def _edit(container, edit):
+    mpath = container / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
+
+
+def test_dataset_fingerprint_is_the_verified_feature_crc32s(tmp_path):
+    ds = _dataset()
+    store.save_dataset(ds, tmp_path / "d")
+    back = store.load_dataset(tmp_path / "d")
+    assert back.meta["fingerprint"] == {
+        f"features_{m}_crc32": zlib.crc32(np.ascontiguousarray(
+            arr, dtype="<f8").tobytes())
+        for m, arr in (("x", ds.Fx_raw), ("y", ds.Fy_raw))}
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda m: m["base_indices"].__setitem__(0, 10 ** 6), "split indices"),
+    (lambda m: m["query_indices"].__setitem__(0, -1),
+     "query_indices must be a list of non-negative integers"),
+    (lambda m: m["query_indices"].append(m["base_indices"][0]),
+     "split indices"),
+    (lambda m: m["base_indices"].append(m["base_indices"][-1]),
+     "split indices"),
+    (lambda m: m["label_counts"].pop(), "label_counts must hold 4 counts")],
+    ids=["index_out_of_range", "negative_index", "in_both_splits",
+         "repeated_index", "label_count_missing"])
+def test_inconsistent_dataset_refused(tmp_path, edit, detail):
+    store.save_dataset(_dataset(), tmp_path / "d")
+    _edit(tmp_path / "d", edit)
+    with pytest.raises(store.StoreError, match=re.escape(
+            f"{tmp_path / 'd' / 'manifest.json'}: ") + ".*" + detail):
+        store.load_dataset(tmp_path / "d")
+
+
+def test_dataset_labels_short_of_rows_refused(tmp_path):
+    # a labels file three rows short, with a CRC-32 and shape that fit it
+    ds = _dataset()
+    store.save_dataset(ds, tmp_path / "d")
+    L = ds.L[:-3].astype(np.uint8)
+    (tmp_path / "d" / "labels.bin").write_bytes(L.tobytes())
+
+    def shorten(m):
+        m["arrays"]["labels"].update(shape=list(L.shape),
+                                     crc32=zlib.crc32(L.tobytes()))
+    _edit(tmp_path / "d", shorten)
+    with pytest.raises(store.StoreError, match="are not as many rows"):
+        store.load_dataset(tmp_path / "d")
+
+
 # ---------------------------------------------------------------------- codes
 
 def test_code_bit_packing_roundtrip():
@@ -148,6 +200,14 @@ def test_codes_unknown_dtype_refused(tmp_path):
     manifest["arrays"]["codes"]["dtype"] = "int4"
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(store.StoreError, match="unknown dtype 'int4'"):
+        store.load_codes(tmp_path / "c")
+
+
+def test_codes_of_one_dimension_refused(tmp_path):
+    # the same bits as one row: the packed byte count still fits
+    store.save_codes(tmp_path / "c", np.ones((4, 9)))
+    _edit(tmp_path / "c", lambda m: m["arrays"]["codes"].update(shape=[36]))
+    with pytest.raises(store.StoreError, match=r"codes must be a \(k, n\)"):
         store.load_codes(tmp_path / "c")
 
 
@@ -265,6 +325,100 @@ def test_checkpoint_corrupted_weights_detected(tmp_path):
         store.load_checkpoint(tmp_path / "ck")
 
 
+@pytest.mark.parametrize("edit, detail", [
+    (lambda m: m["nets"]["icae.enc_ind_x"][0].update(activation="relu"),
+     "nets.icae.enc_ind_x: unknown activation 'relu'"),
+    # the second layer's weight taken from another net: it fits no bias
+    (lambda m: m["arrays"].update({"icae.enc_ind_x.l1.weight":
+                                   m["arrays"]["icae.dec_x.l1.weight"]}),
+     "nets.icae.enc_ind_x: weight must be"),
+    # the second layer taken from a 4 -> 4 net: the layers do not chain
+    (lambda m: m["arrays"].update({
+        "icae.enc_ind_x.l1." + part: m["arrays"]["side.x.selector1.l0." + part]
+        for part in ("weight", "bias")}),
+     "nets.icae.enc_ind_x: layer dims do not chain"),
+    (lambda m: m["nets"].update({"icae.enc_ind_x": []}),
+     "nets.icae.enc_ind_x must be a non-empty list"),
+    (lambda m: m["nets"]["icae.dec_y"].__setitem__(0, "s"),
+     r"nets.icae.dec_y\[0\] must be an object"),
+    (lambda m: m["loss_trace"].append(None),
+     "loss_trace must be a list of numbers")],
+    ids=["activation", "bias_mismatch", "unchained", "no_layers",
+         "layer_string", "loss_trace_null"])
+def test_checkpoint_bad_net_or_trace_refused(tmp_path, edit, detail):
+    _, model = _trained(1)
+    store.save_checkpoint(tmp_path / "ck", "ae", model.icae, model.side,
+                          hyper={}, loss_trace=[1.0])
+    _edit(tmp_path / "ck", edit)
+    with pytest.raises(store.StoreError, match=re.escape(
+            f"{tmp_path / 'ck' / 'manifest.json'}: ") + detail):
+        store.load_checkpoint(tmp_path / "ck")
+
+
+# ------------------------------------------------------- manifest mutations
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """One container of each kind, as the loaders' tests write them."""
+    root = tmp_path_factory.mktemp("containers")
+    ds, model = _trained()
+    store.save_dataset(ds, root / "dataset")
+    store.save_codes(root / "codes", model.B, info={"modality": "x"})
+    store.save_checkpoint(root / "checkpoint", "hash", model.icae,
+                          model.side, hyper={"k": 4, "variant": "full"},
+                          loss_trace=model.loss2_trace, B=model.B)
+    return root
+
+
+def _manifest_paths(value, path=()):
+    """The path of every value in a manifest: each key of an object and the
+    first item of a list, at any depth."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))[:1]
+    else:
+        items = []
+    for key, inner in items:
+        yield path + (key,)
+        yield from _manifest_paths(inner, path + (key,))
+
+
+REPLACEMENTS = {"list": [], "object": {}, "string": "s", "float": 1.5,
+                "null": None}
+
+
+@pytest.mark.parametrize("replacement", REPLACEMENTS)
+@pytest.mark.parametrize("kind", LOADERS)
+def test_manifest_with_any_value_replaced_loads_or_raises_store_error(
+        containers, kind, replacement):
+    # every value a loader reads, at any depth, replaced by a value of
+    # another type: the loader returns or raises StoreError, never another
+    # exception
+    mpath = containers / kind / "manifest.json"
+    text = mpath.read_text()
+    paths = list(_manifest_paths(json.loads(text)))
+    failures = []
+    try:
+        for path in paths:
+            manifest = json.loads(text)
+            target = manifest
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = REPLACEMENTS[replacement]
+            mpath.write_text(json.dumps(manifest))
+            try:
+                LOADERS[kind](containers / kind)
+            except store.StoreError:
+                pass
+            except Exception as e:     # reported below
+                failures.append(f"{path}: {type(e).__name__}: {e}")
+    finally:
+        mpath.write_text(text)
+    assert len(paths) > 10
+    assert not failures, "\n".join(failures)
+
+
 # -------------------------------------------------------------------- reports
 
 def _report():
@@ -277,7 +431,7 @@ def _report():
 
 def test_report_json_roundtrip(tmp_path):
     r = _report()
-    store.emit_report(r, "json", tmp_path / "r.json")
+    store.write_reports(r, tmp_path / "r")
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["format_version"] == store.FORMAT_VERSION
     assert doc["map"] == r.map
@@ -288,7 +442,7 @@ def test_report_json_roundtrip(tmp_path):
 
 def test_report_csv_schema(tmp_path):
     r = _report()
-    store.emit_report(r, "csv", tmp_path / "r.csv")
+    store.write_reports(r, tmp_path / "r")
     lines = (tmp_path / "r.csv").read_text().strip().splitlines()
     header = lines[0].split(",")
     row = lines[1].split(",")
@@ -296,8 +450,3 @@ def test_report_csv_schema(tmp_path):
     assert len(row) == len(header)
     # MAP serialized with 6 decimal places
     assert row[header.index("map")] == "0.654322"
-
-
-def test_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        store.emit_report(_report(), "xml", tmp_path / "r.xml")
