@@ -135,22 +135,29 @@ def raw_codes(params: IcaeParams, modality: str, raw: np.ndarray
     each.
 
     The commonality encoder sees the other modality's block as zeros; only
-    it and this modality's individuality encoder run.
+    it and this modality's individuality encoder run, one row block at a
+    time (nn.row_blocks), so each block's tapes are dropped before the next
+    block starts.
     """
     if modality not in ("x", "y"):
         raise ValueError("modality must be 'x' or 'y'")
     raw = np.asarray(raw, dtype=np.float64)
     own, other = ((params.enc_ind_x, params.enc_ind_y) if modality == "x"
                   else (params.enc_ind_y, params.enc_ind_x))
-    # [0]: each forward's tape is dropped before the next pass starts
-    P = nn.forward(own, raw.T)[0]
-    # a zero-stride stand-in for the dropped block; the input is pinned
-    # row-major, as its layout sets the BLAS rounding
-    absent = np.broadcast_to(0.0, (raw.shape[0], other.in_dim))
-    Fx, Fy, drop = ((raw, absent, "y") if modality == "x"
-                    else (absent, raw, "x"))
-    common_in = np.ascontiguousarray(_common_input(Fx, Fy, drop))
-    Cs = nn.forward(params.enc_common, common_in)[0]
+    # filled by columns and returned transposed, the layout a whole-split
+    # forward returns, which sets the rounding of calibrate's reductions
+    Cs = np.empty((params.k, raw.shape[0]))
+    P = np.empty_like(Cs)
+    for blk in nn.row_blocks(raw.shape[0], own, params.enc_common):
+        part = raw[blk]
+        P[:, blk] = nn.forward(own, part.T)[0]
+        # a zero-stride stand-in for the dropped block; the input is pinned
+        # row-major, as its layout sets the BLAS rounding
+        absent = np.broadcast_to(0.0, (part.shape[0], other.in_dim))
+        Fx, Fy, drop = ((part, absent, "y") if modality == "x"
+                        else (absent, part, "x"))
+        common_in = np.ascontiguousarray(_common_input(Fx, Fy, drop))
+        Cs[:, blk] = nn.forward(params.enc_common, common_in)[0]
     return Cs.T, P.T
 
 
@@ -381,5 +388,7 @@ def train_ae(dataset: Dataset, params: IcaeParams, cfg: RunConfig
             for layer, trained in zip(net.layers, f32.nets()[name].layers):
                 layer.weight[...] = trained.weight
                 layer.bias[...] = trained.bias
+    # the float32 copies are done with; calibrate's passes need the room
+    del f32, X32, Y32, L32
     calibrate(params, Xb, Yb, Lb)
     return params, trace

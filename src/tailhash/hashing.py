@@ -10,7 +10,7 @@ B = sign(Mx + My) over the full base set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -124,14 +124,33 @@ def _modality_pass(side: meta.HashSideParams, X: np.ndarray, Y: np.ndarray,
             meta.meta_forward(side.y, Y, *codes[1]))
 
 
+def meta_pass(side_v: meta.ModalitySide, raw: np.ndarray,
+              codes: Callable[[slice], ModalityCodes]) -> np.ndarray:
+    """(k, n) meta features of one modality over a whole split.
+
+    Runs meta.meta_forward one row block at a time (nn.row_blocks), so each
+    block's tapes are dropped before the next block starts; ``codes(blk)``
+    gives the modality codes of the rows ``blk``. Phase 2's base pass and
+    query encoding (retrieval.encode_query) both run it.
+    """
+    n = np.shape(raw)[0]
+    # filled by rows and returned transposed, the layout meta_forward's M has
+    M = np.empty((n, side_v.projector.out_dim))
+    for blk in nn.row_blocks(n, side_v.projector):
+        M[blk] = meta.meta_forward(side_v, raw[blk], *codes(blk)).M.T
+    return M.T
+
+
 def full_base_codes(side: meta.HashSideParams, Xb: np.ndarray,
                     Yb: np.ndarray,
                     codes: tuple[ModalityCodes, ModalityCodes]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Mx, My, B) over the whole base split with the current parameters;
     codes are the variant's modality_codes of the base split."""
-    fwd_x, fwd_y = _modality_pass(side, Xb, Yb, codes)
-    return fwd_x.M, fwd_y.M, update_B(fwd_x.M, fwd_y.M)
+    (Cx, Ix), (Cy, Iy) = codes
+    Mx = meta_pass(side.x, Xb, lambda blk: (Cx[blk], Ix[blk]))
+    My = meta_pass(side.y, Yb, lambda blk: (Cy[blk], Iy[blk]))
+    return Mx, My, update_B(Mx, My)
 
 
 def _step_side(side_v: meta.ModalitySide, fwd: meta.MetaForward,

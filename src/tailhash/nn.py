@@ -105,6 +105,11 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    @property
+    def width(self) -> int:
+        """Units of the widest layer, the input included."""
+        return max(self.in_dim, *(layer.out_dim for layer in self.layers))
+
 
 def init_dense(in_dim: int, out_dim: int, activation: str,
                rng: np.random.Generator) -> DenseLayer:
@@ -127,6 +132,35 @@ def cast(mlp: Mlp, dtype) -> Mlp:
     return Mlp([DenseLayer(layer.weight.astype(dtype),
                            layer.bias.astype(dtype), layer.activation)
                 for layer in mlp.layers])
+
+
+# samples x units of the widest layer in one block of a whole-split pass;
+# bounds the block's activations and tapes whatever the split size
+BLOCK_ELEMS = 1 << 18
+# a block of more rows than this is a whole number of them, a multiple of
+# every BLAS tile height
+BLOCK_ALIGN = 64
+
+
+def row_blocks(n: int, *nets: Mlp) -> list[slice]:
+    """Row slices that cover n samples in order, for a pass through
+    ``nets``: about BLOCK_ELEMS / (widest layer) rows each, the last one
+    taking the remainder (no slice for n = 0).
+
+    A sample's BLAS products round as in one whole-split product only when
+    the sample keeps its place in the kernel's tiles and the product keeps
+    its kernel. So a block of more than BLOCK_ALIGN rows is rounded down to
+    a whole number of them, and no block is shorter than the others: a
+    product over a few columns takes another kernel (a matrix-vector one
+    for a single sample). Blocks much smaller than the default also move
+    OpenBLAS to its small-matrix kernels, so their float results can differ
+    from a whole-split pass in the last bits.
+    """
+    rows = max(1, BLOCK_ELEMS // max(net.width for net in nets))
+    if rows > BLOCK_ALIGN:
+        rows -= rows % BLOCK_ALIGN
+    edges = [*range(0, n, rows)][:max(1, n // rows)] + [n]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, list]:

@@ -17,7 +17,8 @@ import numpy as np
 from . import autoencoder, hashing, meta
 
 # ranked items (query rows x base size) scored per block; bounds the block's
-# relevance, order and ranked-relevance temporaries whatever the split sizes
+# distance, relevance, order and ranked-relevance temporaries whatever the
+# split sizes
 BLOCK_ELEMS = 1 << 18
 
 
@@ -46,23 +47,26 @@ def encode_query(modality: str, raw: np.ndarray,
     matching the modality-dropout regime it was trained under; the
     individuality enters as its label-memory feature. The codes and the meta
     features come from the same calls training makes
-    (hashing.modality_codes, meta.meta_forward).
+    (hashing.modality_codes, meta.meta_forward), one row block at a time
+    (hashing.meta_pass), so only the codes outlive a block.
     """
     if modality not in ("x", "y"):
         raise ValueError("modality must be 'x' or 'y'")
+    raw = np.asarray(raw, dtype=np.float64)
     side_v = side.x if modality == "x" else side.y
-    codes = hashing.modality_codes(icae, modality, raw, variant)
-    M = meta.meta_forward(side_v, raw, *codes).M
-    return np.where(M >= 0.0, 1.0, -1.0)
+    M = hashing.meta_pass(side_v, raw, lambda blk: hashing.modality_codes(
+        icae, modality, raw[blk], variant))
+    # the sign in place: M >= 0 -> +1, else -1
+    pos = M >= 0.0
+    M.fill(-1.0)
+    M[pos] = 1.0
+    return M
 
 
-def hamming_matrix(query_codes: np.ndarray, base_codes: np.ndarray) -> np.ndarray:
-    """All pairwise Hamming distances, (nq, nb), from bit-packed codes.
-
-    Codes are (k, n) matrices of exact +/-1. Each is packed along k into
-    ceil(k / 8) bytes per item; the distance sums the popcount of the XOR of
-    each byte, in the narrowest unsigned type that holds k.
-    """
+def _packed(query_codes: np.ndarray, base_codes: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both (k, n) code matrices of exact +/-1 bit-packed along k, into
+    ceil(k / 8) bytes per item, and k."""
     Q = np.asarray(query_codes)
     D = np.asarray(base_codes)
     if Q.ndim != 2 or D.ndim != 2:
@@ -70,19 +74,30 @@ def hamming_matrix(query_codes: np.ndarray, base_codes: np.ndarray) -> np.ndarra
     k = Q.shape[0]
     if D.shape[0] != k:
         raise ValueError(f"code lengths must match: {k} vs {D.shape[0]}")
-    if not (np.all(np.abs(Q) == 1) and np.all(np.abs(D) == 1)):
+    if not all(np.all((C == 1) | (C == -1)) for C in (Q, D)):
         raise ValueError("codes must be exactly +/-1")
     # packing cannot tell k = 9 from k = 10, hence the length check above;
     # the zero pad bits agree in both operands and add nothing
-    q = np.packbits(Q > 0, axis=0)
-    b = np.packbits(D > 0, axis=0)
-    dist = np.zeros((Q.shape[1], D.shape[1]), dtype=np.min_scalar_type(k))
+    return np.packbits(Q > 0, axis=0), np.packbits(D > 0, axis=0), k
+
+
+def _distances(q: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Hamming distances of packed query and base codes, (nq, nb): the
+    popcount of the XOR of each byte, summed in the narrowest unsigned type
+    that holds k."""
+    dist = np.zeros((q.shape[1], b.shape[1]), dtype=np.min_scalar_type(k))
     byte = np.empty(dist.shape, dtype=np.uint8)
     for qi, bi in zip(q, b):
         np.bitwise_xor(qi[:, None], bi[None, :], out=byte)
         np.bitwise_count(byte, out=byte)
         dist += byte
     return dist
+
+
+def hamming_matrix(query_codes: np.ndarray, base_codes: np.ndarray) -> np.ndarray:
+    """All pairwise Hamming distances, (nq, nb), of (k, n) codes of exact
+    +/-1, from bit-packed codes."""
+    return _distances(*_packed(query_codes, base_codes))
 
 
 def _score(query_codes, query_labels, base_codes, base_labels,
@@ -92,21 +107,21 @@ def _score(query_codes, query_labels, base_codes, base_labels,
 
     A base item is ranked by Hamming distance, ties by base index (a stable
     sort). Queries are scored in blocks of about BLOCK_ELEMS ranked items,
-    so only one block's order exists at a time. The blocks run on the
-    calling thread: they are short, and numpy holds the interpreter lock in
-    part of each, so worker threads would mostly pass the lock back and
-    forth, with timings that follow the host's load.
-    Relevance counts shared labels with a float64 GEMM: the counts are
-    exact, and BLAS runs it where an integer product has no fast path. The
-    j-th hit at 0-based rank p adds j / (p + 1) to its query's AP, which
-    sums its own hits in rank order.
+    so only one block's distances and order exist at a time; both code sets
+    are packed once, and each block's distances come from the packed bytes.
+    The blocks run on the calling thread: they are short, and numpy holds
+    the interpreter lock in part of each, so worker threads would mostly
+    pass the lock back and forth, with timings that follow the host's load.
+    Relevance counts shared labels with a float32 GEMM: the counts are
+    integers of at most c, exact in float32 for c < 2^24, and BLAS runs it
+    where an integer product has no fast path.
     """
     if topR is not None and topR < 1:
         raise ValueError(f"top R must be >= 1, got {topR}")
-    dist = hamming_matrix(query_codes, base_codes)
-    Lq = np.asarray(query_labels, dtype=np.float64)
-    LbT = np.asarray(base_labels, dtype=np.float64).T
-    nq, nb = dist.shape
+    q, b, bits = _packed(query_codes, base_codes)
+    Lq = np.asarray(query_labels, dtype=np.float32)
+    LbT = np.asarray(base_labels, dtype=np.float32).T
+    nq, nb = q.shape[1], b.shape[1]
     for what, n, rows in (("query", nq, Lq.shape[0]),
                           ("base", nb, LbT.shape[1])):
         if n != rows:
@@ -121,27 +136,46 @@ def _score(query_codes, query_labels, base_codes, base_labels,
         blk = slice(start, start + rows)
         rel = Lq[blk] @ LbT > 0
         valid[blk] = rel.any(axis=1)
-        order = np.argsort(dist[blk], axis=1, kind="stable")
-        # offset each row's order into the flat flags, so that one flat
-        # take ranks them (about 3x faster than take_along_axis)
-        order += np.arange(rel.shape[0])[:, None] * nb
-        ranked = rel.ravel().take(order)
-        for k, hits in zip(ks, hits_at):
-            hits[blk] = ranked[:, :min(k, nb)].sum(axis=1)
-        top = ranked[:, :limit]
-        n_hits = np.count_nonzero(top, axis=1)
-        ends = np.cumsum(n_hits)
-        # flat indices of the hits, row by row, then each hit's 0-based rank
-        # p and its 1-based count j within its row
-        hit = np.flatnonzero(top)
-        p = hit - np.repeat(np.arange(top.shape[0]) * limit, n_hits)
-        j = np.arange(1, hit.size + 1) - np.repeat(ends - n_hits, n_hits)
-        terms = j / (p + 1)
-        sums = [terms[s:e].sum() for s, e in zip(ends - n_hits, ends)]
-        ap = np.zeros(len(sums))
-        np.divide(sums, n_hits, out=ap, where=n_hits > 0)
+        ap, hits = _rank(_distances(q[:, blk], b, bits), rel, limit, ks)
         aps[blk] = np.where(valid[blk], ap, np.nan)
+        for total, counts in zip(hits_at, hits):
+            total[blk] = counts
     return aps, valid, [hits / min(k, nb) for k, hits in zip(ks, hits_at)]
+
+
+def _rank(dist: np.ndarray, rel: np.ndarray, limit: int,
+          ks: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """AP over the first ``limit`` ranks, and the hits in the first k ranks
+    for each k in ks, of query rows with (rows, nb) distances ``dist`` and
+    relevance flags ``rel``; 0 AP for a row without hits.
+
+    The j-th hit at 0-based rank p adds j / (p + 1) to its query's AP,
+    which sums its own hits in rank order. The temporaries end with the
+    call, before the next block starts.
+    """
+    nb = dist.shape[1]
+    order = np.argsort(dist, axis=1, kind="stable")
+    # offset each row's order into the flat flags, so that one flat take
+    # ranks them (about 3x faster than take_along_axis)
+    order += np.arange(rel.shape[0])[:, None] * nb
+    ranked = rel.ravel().take(order)
+    del order   # its room goes to the hit arrays below
+    hits = [ranked[:, :min(k, nb)].sum(axis=1) for k in ks]
+    top = ranked[:, :limit]
+    n_hits = np.count_nonzero(top, axis=1)
+    ends = np.cumsum(n_hits)
+    # flat indices of the hits, row by row, then each hit's 1-based count j
+    # and 1-based rank p + 1 within its row, in place where they allow
+    hit = np.flatnonzero(top)
+    j = np.arange(1, hit.size + 1)
+    j -= np.repeat(ends - n_hits, n_hits)
+    hit %= limit
+    hit += 1
+    terms = j / hit
+    sums = [terms[s:e].sum() for s, e in zip(ends - n_hits, ends)]
+    ap = np.zeros(len(sums))
+    np.divide(sums, n_hits, out=ap, where=n_hits > 0)
+    return ap, hits
 
 
 def average_precisions(query_codes: np.ndarray, query_labels: np.ndarray,

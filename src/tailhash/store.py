@@ -5,16 +5,17 @@ file per named array: little-endian float64 row-major for real arrays, one
 byte per cell (0/1) for label matrices, packed bits for hash codes (-1
 stored as 0). One writer, ``_save``, writes every container and one reader,
 ``_load``, reads every one: each array has an entry under the manifest's
-``arrays`` with its file, dtype, shape and CRC-32, and is checked against
-all of them. All formats share one ``format_version``; a container of
-another version or kind is refused. A loader maps its record onto named
-arrays (a net's layers ``<net>.l<i>.weight|bias``, a modality's
-calibration ``icae.<mod>.<field>``, hash codes ``codes``) and checks the
-type of every manifest value it reads, that codes are a matrix and, in a
-dataset, that features and labels have as many rows, one count per label
-and split indices in 0..n-1 that appear once. These failures and a
-missing key raise StoreError naming the manifest; an array file that
-does not fit its entry raises one naming the file.
+``arrays`` with its file (a plain name inside the container), dtype, shape
+and CRC-32, and is checked against all of them. All formats share one
+``format_version``; a container of another version or kind is refused. A
+loader maps its record onto named arrays (a net's layers
+``<net>.l<i>.weight|bias``, a modality's calibration ``icae.<mod>.<field>``,
+hash codes ``codes``) and checks the type of every manifest value it reads,
+that codes are a matrix and, in a dataset, that features and labels have as
+many rows, one count per label and split indices in 0..n-1 that appear
+once. These failures and a missing key raise StoreError naming the
+manifest; an array file that does not fit its entry raises one naming the
+file.
 
 A checkpoint's ``hyper`` is the caller's record of the run, which this
 module stores as given.
@@ -87,6 +88,9 @@ def _are_counts(v) -> bool:     # JSON true and false are not integers
 _KINDS = {
     "an object": lambda v: isinstance(v, dict),
     "a string": lambda v: isinstance(v, str),
+    # a file inside the container: no absolute path, separator, . or ..
+    "a plain file name": lambda v: (
+        isinstance(v, str) and v not in ("", "..") and Path(v).name == v),
     "a non-negative integer": lambda v: _are_counts([v]),
     "a list of non-negative integers": _are_counts,
     "a list of numbers": lambda v: (
@@ -185,7 +189,7 @@ def _load(path, kind: str) -> tuple[_Manifest, _Manifest]:
         at = f"arrays.{name}"
         _checked(entry, "an object", mpath, at)
         arrays[name] = _read_array(
-            root / entry.get_as("file", "a string", at + ".file"),
+            root / entry.get_as("file", "a plain file name", at + ".file"),
             entry.get_as("dtype", "a string", at + ".dtype"),
             tuple(entry.get_as("shape", "a list of non-negative integers",
                                at + ".shape")),

@@ -701,6 +701,17 @@ def _flatten_codes(container):
     _edit_manifest(container, flatten)
 
 
+def _move_array_out(name, absolute):
+    """Move an array file next to its container and point its entry at it,
+    by an absolute path or through ..; the file still fits the entry."""
+    def move(container):
+        moved = container.parent / f"moved_{name}.bin"
+        (container / f"{name}.bin").rename(moved)
+        _edit_manifest(container, lambda m: m["arrays"][name].update(
+            file=str(moved) if absolute else f"../{moved.name}"))
+    return move
+
+
 BAD_ARTIFACTS = {
     "arrays_list": ("dataset", _set_manifest_value("arrays", value=[1])),
     "features_x_list": ("dataset", _set_manifest_value(
@@ -721,6 +732,9 @@ BAD_ARTIFACTS = {
         "nets", "icae.enc_ind_x", 0, "activation", value="relu")),
     "info_list": ("codes", _set_manifest_value("info", value=[1])),
     "codes_one_row": ("codes", _flatten_codes),
+    "features_x_file_outside": ("dataset",
+                                _move_array_out("features_x", False)),
+    "codes_file_absolute": ("codes", _move_array_out("codes", True)),
 }
 
 

@@ -143,6 +143,27 @@ def test_inconsistent_dataset_refused(tmp_path, edit, detail):
         store.load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("name", [
+    "absolute", "../moved_features_x.bin", "sub/features_x.bin", ".", "..",
+    ""])
+def test_array_file_outside_the_container_refused(tmp_path, name):
+    # each name points at a copy of the features that fits the entry, where
+    # the name allows one; only a plain name inside the container is read
+    store.save_dataset(_dataset(), tmp_path / "d")
+    data = (tmp_path / "d" / "features_x.bin").read_bytes()
+    (tmp_path / "moved_features_x.bin").write_bytes(data)
+    (tmp_path / "d" / "sub").mkdir()
+    (tmp_path / "d" / "sub" / "features_x.bin").write_bytes(data)
+    if name == "absolute":
+        name = str(tmp_path / "moved_features_x.bin")
+    _edit(tmp_path / "d",
+          lambda m: m["arrays"]["features_x"].update(file=name))
+    with pytest.raises(store.StoreError, match=re.escape(
+            f"{tmp_path / 'd' / 'manifest.json'}: arrays.features_x.file "
+            f"must be a plain file name")):
+        store.load_dataset(tmp_path / "d")
+
+
 def test_dataset_labels_short_of_rows_refused(tmp_path):
     # a labels file three rows short, with a CRC-32 and shape that fit it
     ds = _dataset()
