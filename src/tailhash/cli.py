@@ -211,20 +211,33 @@ def cmd_eval(args) -> int:
     dataset = store.load_dataset(args.dataset)
     _check_head_count(args, dataset)
     q_codes, q_info = store.load_codes(args.query_codes)
-    b_codes, _ = store.load_codes(args.base_codes)
+    b_codes, b_info = store.load_codes(args.base_codes)
     _, _, Lb = dataset.base()
     _, _, Lq = dataset.query()
-    for path, codes, split, labels in (
-            (args.query_codes, q_codes, "query", Lq),
-            (args.base_codes, b_codes, "base", Lb)):
+    q_modality, b_modality = retrieval.DIRECTIONS[args.direction]
+    for path, codes, info, split, labels, modality in (
+            (args.query_codes, q_codes, q_info, "query", Lq, q_modality),
+            (args.base_codes, b_codes, b_info, "base", Lb, b_modality)):
         if codes.shape[1] != labels.shape[0]:
             raise CliError(f"{path}: {codes.shape[1]} codes, but the "
                            f"dataset's {split} split has {labels.shape[0]} "
                            f"items")
+        if info["modality"] != modality:
+            raise CliError(f"{path}: codes of modality {info['modality']!r}"
+                           f", but {args.direction} ranks {split} codes of "
+                           f"modality {modality!r}")
+    if q_codes.shape[0] != b_codes.shape[0]:
+        raise CliError(f"code lengths differ: {args.query_codes} holds "
+                       f"{q_codes.shape[0]}-bit codes, {args.base_codes} "
+                       f"{b_codes.shape[0]}-bit codes")
+    if q_info["variant"] != b_info["variant"]:
+        raise CliError(f"variants differ: {args.query_codes} holds codes of "
+                       f"{q_info['variant']!r}, {args.base_codes} of "
+                       f"{b_info['variant']!r}")
     report = retrieval.evaluate(args.direction, q_codes, Lq, b_codes, Lb,
                                 dataset.meta["label_counts"],
                                 args.head_count, topR=args.top_r,
-                                variant=q_info.get("variant", "full"))
+                                variant=q_info["variant"])
     stem = out / f"report_{args.direction}"
     store.write_reports(report, stem)
     print(f"{args.direction} MAP {report.map:.6f} "
@@ -304,7 +317,8 @@ def build_parser() -> _Parser:
     p.add_argument("--query-codes", required=True)
     p.add_argument("--base-codes", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--direction", required=True, choices=("i2t", "t2i"))
+    p.add_argument("--direction", required=True,
+                   choices=sorted(retrieval.DIRECTIONS))
     p.add_argument("--head-count", type=int, default=None)
     p.add_argument("--top-r", type=int, default=None)
     p.add_argument("--out", default=None)

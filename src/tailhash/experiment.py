@@ -98,9 +98,10 @@ def evaluate_model(dataset: Dataset, model: TrainedModel,
     Xq, Yq, Lq = dataset.query()
     _, _, Lb = dataset.base()
     counts = dataset.meta.get("label_counts", Lb.sum(axis=0))
+    raws = {"x": Xq, "y": Yq}
     reports = {}
-    for direction, modality, raw in (("i2t", "x", Xq), ("t2i", "y", Yq)):
-        q_codes = retrieval.encode_query(modality, raw, model.icae,
+    for direction, (modality, _) in retrieval.DIRECTIONS.items():
+        q_codes = retrieval.encode_query(modality, raws[modality], model.icae,
                                          model.side, model.variant)
         reports[direction] = retrieval.evaluate(
             direction, q_codes, Lq, model.B, Lb, counts, head_count,

@@ -20,11 +20,13 @@ from . import autoencoder, hashing, meta
 # distance, relevance, order and ranked-relevance temporaries whatever the
 # split sizes
 BLOCK_ELEMS = 1 << 18
+# direction -> the modalities of its (query, base) codes
+DIRECTIONS = {"i2t": ("x", "y"), "t2i": ("y", "x")}
 
 
 @dataclass
 class EvalReport:
-    direction: str                      # "i2t" or "t2i"
+    direction: str                      # a key of DIRECTIONS
     map: float
     precision_at: list[tuple[int, float]]
     per_label_map: list[Optional[float]]

@@ -1,7 +1,9 @@
 """Pair similarity, average Hausdorff label affinity, prototype regularizer."""
 
+import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,6 +74,42 @@ def test_avg_hausdorff_symmetric():
 def test_avg_hausdorff_rejects_empty():
     with pytest.raises(ValueError):
         verify.avg_hausdorff(np.zeros((0, 2)), np.zeros((1, 2)))
+
+
+def _avg_hausdorff_loops(A, B):
+    """The definition as a pure-Python double loop."""
+    near_a = [min(math.dist(a, b) for b in B) for a in A]
+    near_b = [min(math.dist(a, b) for a in A) for b in B]
+    return (sum(near_a) + sum(near_b)) / (len(A) + len(B))
+
+
+@pytest.mark.parametrize("na, nb", [(37, 23), (23, 37), (1, 50), (50, 1)])
+def test_avg_hausdorff_matches_double_loop_across_row_blocks(monkeypatch,
+                                                             na, nb):
+    # blocks of a few rows, the last one short, and sets that repeat
+    # points within themselves and share some with the other set
+    monkeypatch.setattr(verify, "BLOCK_ELEMS", 64)
+    rng = np.random.default_rng(na * nb)
+    A = rng.standard_normal((na, 3))
+    B = rng.standard_normal((nb, 3))
+    A[na // 2:] = A[:na - na // 2]
+    B[:nb // 3] = A[:nb // 3]
+    assert verify.avg_hausdorff(A, B) == pytest.approx(
+        _avg_hausdorff_loops(A, B), rel=1e-12)
+
+
+def test_avg_hausdorff_holds_row_blocks_not_the_distance_matrix():
+    # the whole 2,000 x 2,000 matrix of distances would take 32 MB
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((2000, 4))
+    B = rng.standard_normal((2000, 4))
+    tracemalloc.start()
+    try:
+        verify.avg_hausdorff(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # ------------------------------------------------------------- label_affinity

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import shutil
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,6 +467,68 @@ def test_eval_rejects_codes_of_another_split(tmp_path, capsys, query, base,
     assert not (tmp_path / "ev" / "report_i2t.json").exists()
 
 
+def _eval_refused(capsys, argv, *named):
+    """``argv`` exits 1 with one error line naming each of ``named``, and
+    writes no report."""
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(str(p) in err for p in named)
+    assert len(err.strip().splitlines()) == 1
+    out = Path(argv[argv.index("--out") + 1])
+    assert not list(out.glob("report_*"))
+
+
+def test_eval_rejects_codes_of_different_lengths(pipeline, tmp_path, capsys):
+    # 8-bit x query codes against the pipeline's 4-bit y base codes
+    root = tmp_path / "p"
+    shutil.copytree(pipeline, root)
+    data, by = root / "d" / "dataset", root / "e2" / "codes_y_base"
+    qx = root / "e8" / "codes_x_query"
+    n = store.load_dataset(data).query_indices.size
+    store.save_codes(qx, np.ones((8, n)), info={
+        "modality": "x", "split": "query", "k": 8, "n": n, "variant": "full"})
+    _eval_refused(capsys, [
+        "eval", "--query-codes", str(qx), "--base-codes", str(by),
+        "--dataset", str(data), "--direction", "i2t",
+        "--out", str(root / "ev")], qx, by)
+
+
+@pytest.mark.parametrize("direction, query, base, refused", [
+    ("i2t", ("y", "query"), ("x", "base"), "query"),
+    ("t2i", ("x", "query"), ("y", "base"), "query"),
+    ("i2t", ("y", "query"), ("y", "base"), "query"),
+    ("i2t", ("x", "query"), ("x", "base"), "base"),
+    ("t2i", ("y", "query"), ("y", "base"), "base")],
+    ids=["i2t_swapped", "t2i_swapped", "i2t_query_y", "i2t_base_x",
+         "t2i_base_y"])
+def test_eval_rejects_codes_of_the_wrong_modality(pipeline, tmp_path, capsys,
+                                                  direction, query, base,
+                                                  refused):
+    # a pair of the other direction would rank and report the wrong MAP
+    root = tmp_path / "p"
+    shutil.copytree(pipeline, root)
+    data, run = root / "d", root / "run"
+    q = _encode(root, data, run, *query, "q")
+    b = _encode(root, data, run, *base, "b")
+    _eval_refused(capsys, [
+        "eval", "--query-codes", str(q), "--base-codes", str(b),
+        "--dataset", str(data / "dataset"), "--direction", direction,
+        "--out", str(root / "ev")], q if refused == "query" else b)
+
+
+def test_eval_rejects_codes_of_different_variants(pipeline, tmp_path,
+                                                  capsys):
+    root = tmp_path / "p"
+    shutil.copytree(pipeline, root)
+    qx, by = root / "e1" / "codes_x_query", root / "e2" / "codes_y_base"
+    _edit_manifest(by, lambda m: m["info"].update(variant="wo_i"))
+    _eval_refused(capsys, [
+        "eval", "--query-codes", str(qx), "--base-codes", str(by),
+        "--dataset", str(root / "d" / "dataset"), "--direction", "i2t",
+        "--out", str(root / "ev")], qx, by)
+
+
 @pytest.mark.parametrize("command", ["encode", "eval"])
 def test_missing_codes_file_is_one_line_error(tmp_path, capsys, command):
     data = _gen(tmp_path)
@@ -731,6 +794,10 @@ BAD_ARTIFACTS = {
     "activation_relu": ("checkpoint", _set_manifest_value(
         "nets", "icae.enc_ind_x", 0, "activation", value="relu")),
     "info_list": ("codes", _set_manifest_value("info", value=[1])),
+    "info_without_modality": ("codes", lambda container: _drop_manifest_key(
+        container, "info", "modality")),
+    "info_without_variant": ("codes", lambda container: _drop_manifest_key(
+        container, "info", "variant")),
     "codes_one_row": ("codes", _flatten_codes),
     "features_x_file_outside": ("dataset",
                                 _move_array_out("features_x", False)),
