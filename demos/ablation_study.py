@@ -13,8 +13,6 @@ top, with the gap concentrated where samples are scarce or a modality is
 missing entirely.
 """
 
-import copy
-
 from tailhash import datagen, experiment, hashing
 
 spec = datagen.LongTailSpec(c=8, z1=300, imbalance_factor=30,
@@ -24,17 +22,13 @@ dataset = datagen.split(datagen.generate(spec), query_size=100, seed=1)
 
 cfg = experiment.RunConfig(k=16, max_epochs=60, seed=1)
 print("phase 1 (shared autoencoders for all variants)...")
-icae, side0, _ = experiment.train_phase1(dataset, cfg)
+phase1 = experiment.train_phase1(dataset, cfg)
 
 print(f"\n{'variant':8s} {'map':>8s} {'head':>8s} {'tail':>8s}")
-for name in ("full", "wo_c", "wo_i", "wo_ic"):
-    side = copy.deepcopy(side0)
-    side, B, _ = experiment.train_phase2(dataset, cfg, icae, side,
-                                         hashing.VARIANTS[name])
-    model = experiment.TrainedModel(icae, side, B, [], [],
-                                    hashing.VARIANTS[name])
+variants = [hashing.VARIANTS[n] for n in ("full", "wo_c", "wo_i", "wo_ic")]
+for model in experiment.train_variants(dataset, cfg, phase1, variants):
     reports = experiment.evaluate_model(dataset, model)
     mean = lambda attr: 0.5 * (getattr(reports["i2t"], attr)
                                + getattr(reports["t2i"], attr))
-    print(f"{name:8s} {mean('map'):8.4f} {mean('head_map'):8.4f} "
-          f"{mean('tail_map'):8.4f}")
+    print(f"{model.variant.name:8s} {mean('map'):8.4f} "
+          f"{mean('head_map'):8.4f} {mean('tail_map'):8.4f}")

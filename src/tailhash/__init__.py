@@ -16,7 +16,7 @@ Library layout:
 - ``retrieval``   query encoding, Hamming ranking, MAP, head/tail breakdown
 - ``store``       bit-exact dataset/checkpoint/codes/report file formats
 - ``experiment``  the one run configuration (``RunConfig``), read by both
-                  phases, and end-to-end orchestration helpers
+                  phases; phase 1 and the variant runner (``train_variants``)
 - ``verify``      gradient checks and every oracle (also `tailhash check-grad`)
                   and their helpers: finite differences, flat parameter
                   views, the composed HSIC path

@@ -94,14 +94,10 @@ def label_affinity(features: np.ndarray, L: np.ndarray,
     return LabelAffinity(H, R, sigma)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-WORKERS = _usable_cpus()
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:          # platforms without CPU affinity
+    WORKERS = os.cpu_count() or 1
 # a pass is split only when every worker gets at least this many full blocks;
 # below that, the threads' allocator arenas and hand-offs cost more memory and
 # time than the overlap saves

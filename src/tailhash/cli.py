@@ -13,7 +13,6 @@ config file (--config), which takes precedence over the defaults.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import functools
 import json
@@ -156,21 +155,21 @@ def cmd_train(args) -> int:
     # every checkpoint records the whole run configuration
     hyper = dataclasses.asdict(cfg)
     ae_path = out / "checkpoint_ae"
-    resumed = False
-    if args.resume and (ae_path / "manifest.json").exists():
+    resumed = args.resume and (ae_path / "manifest.json").exists()
+    if resumed:
         ckpt = store.load_checkpoint(ae_path, expect_phase="ae")
         _check_resumable(ae_path, ckpt, cfg, dataset)
-        icae, side, trace1 = ckpt.icae, ckpt.side, ckpt.loss_trace
-        resumed = True
+        phase1 = ckpt.icae, ckpt.side, ckpt.loss_trace
     else:
-        icae, side, trace1 = experiment.train_phase1(dataset, cfg)
+        phase1 = experiment.train_phase1(dataset, cfg)
+        icae, side, trace1 = phase1
         store.save_checkpoint(ae_path, "ae", icae, side,
                               dict(hyper, **dataset.meta["fingerprint"]),
                               trace1)
-    side, B, trace2 = experiment.train_phase2(dataset, cfg, icae, side,
-                                              variant)
-    store.save_checkpoint(out / "checkpoint_hash", "hash", icae, side,
-                          dict(hyper, variant=variant.name), trace2, B=B)
+    model = next(experiment.train_variants(dataset, cfg, phase1, [variant]))
+    store.save_checkpoint(out / "checkpoint_hash", "hash", model.icae,
+                          model.side, dict(hyper, variant=variant.name),
+                          model.loss2_trace, B=model.B)
     _write_run_manifest(out, args, cfg)
     print(f"phase 1 {'resumed from checkpoint' if resumed else 'trained'}; "
           f"checkpoints under {out}")
@@ -251,15 +250,13 @@ def cmd_ablate(args) -> int:
     cfg = _run_config(args)
     dataset = store.load_dataset(args.dataset)
     _check_head_count(args, dataset)
-    icae, side0, trace1 = experiment.train_phase1(dataset, cfg)
+    if dataset.query_indices.size == 0:
+        raise CliError(f"{args.dataset}: no query split to evaluate on")
+    phase1 = experiment.train_phase1(dataset, cfg)
     summary = {}
-    for name, variant in hashing.VARIANTS.items():
-        # phase 1 leaves the initial hash side untouched; every variant's
-        # phase 2 starts from a copy of it
-        side, B, trace2 = experiment.train_phase2(
-            dataset, cfg, icae, copy.deepcopy(side0), variant)
-        model = experiment.TrainedModel(icae, side, B, trace1, trace2,
-                                        variant)
+    for model in experiment.train_variants(dataset, cfg, phase1,
+                                           hashing.VARIANTS.values()):
+        name = model.variant.name
         reports = experiment.evaluate_model(dataset, model,
                                             head_count=args.head_count)
         for direction, report in reports.items():

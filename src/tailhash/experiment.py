@@ -1,9 +1,11 @@
-"""End-to-end orchestration: two-phase training and retrieval evaluation."""
+"""End-to-end orchestration: the run configuration, two-phase training (one
+phase 1, then train_variants, the variant runner) and retrieval evaluation."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -60,9 +62,11 @@ def init_params(dataset: Dataset, cfg: RunConfig
     return icae, side
 
 
-def train_phase1(dataset: Dataset, cfg: RunConfig
-                 ) -> tuple[autoencoder.IcaeParams, meta.HashSideParams,
-                            list[float]]:
+# (autoencoder, initial hash side, loss trace), as a phase-1 checkpoint holds
+Phase1 = tuple[autoencoder.IcaeParams, meta.HashSideParams, list[float]]
+
+
+def train_phase1(dataset: Dataset, cfg: RunConfig) -> Phase1:
     icae, side = init_params(dataset, cfg)
     icae, trace = autoencoder.train_ae(dataset, icae, cfg)
     return icae, side, trace
@@ -72,27 +76,35 @@ def train_phase2(dataset: Dataset, cfg: RunConfig,
                  icae: autoencoder.IcaeParams, side: meta.HashSideParams,
                  variant: hashing.Variant = hashing.VARIANTS["full"]
                  ) -> tuple[meta.HashSideParams, np.ndarray, list[float]]:
+    """Phase 2 of one variant on ``side`` itself (train_variants copies it)."""
     return hashing.train_hash(dataset, icae, side, cfg, variant)
+
+
+def train_variants(dataset: Dataset, cfg: RunConfig, phase1: Phase1,
+                   variants: Iterable[hashing.Variant]
+                   ) -> Iterator[TrainedModel]:
+    """Phase 2 of each variant from one phase 1, yielding each model as it
+    finishes. Each trains its own copy of the initial hash side, so the side
+    in ``phase1`` is never changed."""
+    icae, side0, trace1 = phase1
+    for variant in variants:
+        side, B, trace2 = hashing.train_hash(
+            dataset, icae, copy.deepcopy(side0), cfg, variant)
+        yield TrainedModel(icae, side, B, trace1, trace2, variant)
 
 
 def train_full(dataset: Dataset, cfg: RunConfig,
                variant: hashing.Variant = hashing.VARIANTS["full"]
                ) -> TrainedModel:
-    icae, side, trace1 = train_phase1(dataset, cfg)
-    side, B, trace2 = train_phase2(dataset, cfg, icae, side, variant)
-    return TrainedModel(icae, side, B, trace1, trace2, variant)
+    return next(train_variants(dataset, cfg, train_phase1(dataset, cfg),
+                               [variant]))
 
 
 def evaluate_model(dataset: Dataset, model: TrainedModel,
-                   head_count: Optional[int] = None,
-                   ks: Sequence[int] = (10, 50, 100),
-                   topR: Optional[int] = None
+                   head_count: Optional[int] = None
                    ) -> dict[str, retrieval.EvalReport]:
-    """Cross-modal retrieval in both directions against the unified codes.
-
-    Queries are encoded with the per-modality hash functions; the base is
-    ranked with the trained unified code matrix B.
-    """
+    """Cross-modal retrieval in both directions: queries encoded with the
+    per-modality hash functions, ranked against the trained unified codes B."""
     if dataset.query_indices.size == 0:
         raise ValueError("dataset has no query split")
     Xq, Yq, Lq = dataset.query()
@@ -105,5 +117,5 @@ def evaluate_model(dataset: Dataset, model: TrainedModel,
                                          model.side, model.variant)
         reports[direction] = retrieval.evaluate(
             direction, q_codes, Lq, model.B, Lb, counts, head_count,
-            ks=ks, topR=topR, variant=model.variant.name)
+            variant=model.variant.name)
     return reports

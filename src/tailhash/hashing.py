@@ -116,14 +116,6 @@ def modality_codes(icae: autoencoder.IcaeParams, modality: str,
                  for c, keep in zip(codes, variant.flags(modality)))
 
 
-def _modality_pass(side: meta.HashSideParams, X: np.ndarray, Y: np.ndarray,
-                   codes: tuple[ModalityCodes, ModalityCodes]
-                   ) -> tuple[meta.MetaForward, meta.MetaForward]:
-    """Forward both modalities with precomputed (constant) autoencoder codes."""
-    return (meta.meta_forward(side.x, X, *codes[0]),
-            meta.meta_forward(side.y, Y, *codes[1]))
-
-
 def meta_pass(side_v: meta.ModalitySide, raw: np.ndarray,
               codes: Callable[[slice], ModalityCodes]) -> np.ndarray:
     """(k, n) meta features of one modality over a whole split.
@@ -195,7 +187,8 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
             B_batch = B[:, idx]
             codes = tuple((C[idx], I[idx]) for C, I in base_codes)
 
-            fwd_x, fwd_y = _modality_pass(side, Xb[idx], Yb[idx], codes)
+            fwd_x = meta.meta_forward(side.x, Xb[idx], *codes[0])
+            fwd_y = meta.meta_forward(side.y, Yb[idx], *codes[1])
             value, _ = loss2(fwd_x.M, fwd_y.M, S, B_batch, gamma, eta)
             batch_losses.append(value)
 

@@ -9,7 +9,6 @@ Criterion 8 is a soft criterion: the verdict line reports per-seed
 violations, and the test fails only if the seed-mean is violated.
 """
 
-import copy
 import time
 
 import numpy as np
@@ -139,27 +138,23 @@ def pipeline_runs():
         spec = datagen.LongTailSpec(seed=seed, **DATA)
         ds = datagen.split(datagen.generate(spec), QUERY_SIZE, seed=seed)
         cfg1 = experiment.RunConfig(k=K, max_epochs=EPOCHS_AE, seed=seed)
-        icae, side0, trace1 = experiment.train_phase1(ds, cfg1)
+        phase1 = experiment.train_phase1(ds, cfg1)
         cfg2 = experiment.RunConfig(k=K, max_epochs=EPOCHS_HASH, seed=seed,
                                     eta=ETA)
         per_variant = {}
-        for name in VARIANTS:
-            side = copy.deepcopy(side0)
-            side, B, trace2 = experiment.train_phase2(
-                ds, cfg2, icae, side, hashing.VARIANTS[name])
-            model = experiment.TrainedModel(icae, side, B, trace1, trace2,
-                                            hashing.VARIANTS[name])
+        for model in experiment.train_variants(
+                ds, cfg2, phase1, [hashing.VARIANTS[n] for n in VARIANTS]):
             reports = experiment.evaluate_model(ds, model)
-            per_variant[name] = {
+            per_variant[model.variant.name] = {
                 "map": 0.5 * (reports["i2t"].map + reports["t2i"].map),
                 "head": 0.5 * (reports["i2t"].head_map
                                + reports["t2i"].head_map),
                 "tail": 0.5 * (reports["i2t"].tail_map
                                + reports["t2i"].tail_map),
-                "trace2": trace2,
-                "B": B,
+                "trace2": model.loss2_trace,
+                "B": model.B,
             }
-        runs.append({"seed": seed, "trace1": trace1, **per_variant})
+        runs.append({"seed": seed, "trace1": phase1[2], **per_variant})
     return runs, time.time() - t0
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailhash import cli, datagen, experiment, store
+from tailhash import cli, datagen, experiment, hashing, store
 
 
 def run_cli(argv):
@@ -222,6 +222,20 @@ def test_train_resume_skips_phase_one(tmp_path):
     assert code == 0
     assert (run / "checkpoint_ae" / "manifest.json").read_bytes() == before
 
+
+
+def test_train_and_resume_write_the_codes_of_the_variant_runner(tmp_path):
+    data = _gen(tmp_path)
+    ds = store.load_dataset(data / "dataset")
+    cfg = experiment.RunConfig(k=4, max_epochs=2, seed=0)
+    model = next(experiment.train_variants(
+        ds, cfg, experiment.train_phase1(ds, cfg), [hashing.VARIANTS["wo_c"]]))
+    for resume in ((), ("--resume",)):
+        run = _train(tmp_path, data, extra=("--variant", "wo_c", *resume))
+        hs = store.load_checkpoint(run / "checkpoint_hash", "hash")
+        assert hs.hyper["variant"] == "wo_c"
+        np.testing.assert_array_equal(hs.B, model.B)
+        assert hs.loss_trace == model.loss2_trace
 
 @pytest.mark.parametrize("flags, gen_extra, mismatch", [
     (("--k", "8"), (), "k = 4, this run needs 8"),
@@ -881,6 +895,24 @@ def test_ablate_rejects_out_of_range_head_count_before_training(
     assert err.startswith("error:") and "--head-count" in err
     assert len(err.strip().splitlines()) == 1
 
+
+
+def test_ablate_rejects_dataset_without_query_split_before_training(
+        tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path, query=0)
+    capsys.readouterr()
+
+    def phase1(*args):
+        raise AssertionError("phase 1 ran")
+    monkeypatch.setattr(cli.experiment, "train_phase1", phase1)
+    out = tmp_path / "ab"
+    code = run_cli(["ablate", "--dataset", str(data / "dataset"),
+                    "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no query split" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 # ---------------------------------------------------------------- check-grad
 

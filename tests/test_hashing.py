@@ -236,6 +236,41 @@ def test_train_hash_frozen_autoencoder():
         np.testing.assert_array_equal(get_flat(net), before[name])
 
 
+# ------------------------------------------------------------ variant runner
+
+def _phase1(seed):
+    ds, _, _ = _small_setup(seed)
+    cfg = experiment.RunConfig(k=4, batch_size=16, max_epochs=2, seed=seed)
+    return ds, cfg, experiment.train_phase1(ds, cfg)
+
+
+def _side_bytes(side):
+    return [get_flat(net).tobytes() for v in (side.x, side.y)
+            for net in (v.projector, v.selector1)]
+
+
+def test_train_variants_leaves_the_given_side_unchanged():
+    ds, cfg, phase1 = _phase1(6)
+    before = copy.deepcopy(phase1[1])
+    models = list(experiment.train_variants(ds, cfg, phase1,
+                                            hashing.VARIANTS.values()))
+    assert [m.variant.name for m in models] == list(hashing.VARIANTS)
+    assert _side_bytes(phase1[1]) == _side_bytes(before)
+    assert _side_bytes(models[0].side) != _side_bytes(before)
+
+
+def test_train_variants_equals_train_phase2_on_a_fresh_copy():
+    ds, cfg, phase1 = _phase1(7)
+    icae, side0, trace1 = phase1
+    for model in experiment.train_variants(ds, cfg, phase1,
+                                           hashing.VARIANTS.values()):
+        side, B, trace2 = experiment.train_phase2(
+            ds, cfg, icae, copy.deepcopy(side0), model.variant)
+        assert _side_bytes(model.side) == _side_bytes(side)
+        assert model.B.tobytes() == B.tobytes()
+        assert model.loss2_trace == trace2
+        assert model.icae is icae and model.loss1_trace is trace1
+
 def test_variant_flags():
     assert hashing.VARIANTS["full"].flags("x") == (True, True)
     assert hashing.VARIANTS["wo_c"].flags("x") == (False, True)
@@ -274,13 +309,11 @@ def test_memory_does_not_hurt_without_exclusive_labels():
         spec = datagen.LongTailSpec(seed=seed, **data)
         ds = datagen.split(datagen.generate(spec), 200, seed=seed)
         cfg1 = experiment.RunConfig(k=16, max_epochs=150, seed=seed)
-        icae, side0, trace1 = experiment.train_phase1(ds, cfg1)
+        phase1 = experiment.train_phase1(ds, cfg1)
         cfg2 = experiment.RunConfig(k=16, max_epochs=20, seed=seed, eta=1.25)
-        for name in maps:
-            side, B, trace2 = experiment.train_phase2(
-                ds, cfg2, icae, copy.deepcopy(side0), hashing.VARIANTS[name])
-            model = experiment.TrainedModel(icae, side, B, trace1, trace2,
-                                            hashing.VARIANTS[name])
+        for model in experiment.train_variants(
+                ds, cfg2, phase1, [hashing.VARIANTS[n] for n in maps]):
             reports = experiment.evaluate_model(ds, model)
-            maps[name].append(0.5 * (reports["i2t"].map + reports["t2i"].map))
+            maps[model.variant.name].append(
+                0.5 * (reports["i2t"].map + reports["t2i"].map))
     assert np.mean(maps["full"]) > np.mean(maps["wo_i"])
