@@ -1,6 +1,7 @@
 """Label- and sample-level similarity structures.
 
-Pairwise sample similarity S (share at least one label), per-modality label
+Pairwise sample similarity S (share at least one label, tested on
+bit-packed label sets, as retrieval's relevance is), per-modality label
 affinity built from average Hausdorff distances between per-label sample
 sets, and the graph-Laplacian regularizer on commonality label prototypes
 with its gradient. The affinity's nearest-member search screens each
@@ -42,14 +43,36 @@ def _laplacian(R: np.ndarray) -> np.ndarray:
     return np.diag(R.sum(axis=1)) - R
 
 
+def pack_labels(L: np.ndarray) -> np.ndarray:
+    """(n, c) 0/1 labels bit-packed along c: (ceil(c / 8), n) bytes, row j
+    holding labels 8j..8j+7 of every sample, as shares_label takes them."""
+    return np.ascontiguousarray(np.packbits(np.asarray(L) > 0, axis=1).T)
+
+
+def shares_label(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(nq, nb) flags: whether each sample of the packed labels ``q`` shares
+    at least one label with each of ``b`` (pack_labels of both).
+
+    The AND of each byte pair, ORed over the bytes; the zero pad bits agree
+    in both operands and add nothing, so it is exact for any c.
+    """
+    if q.shape[0] != b.shape[0]:
+        raise ValueError(f"packed label sets of {q.shape[0]} and "
+                         f"{b.shape[0]} bytes")
+    shared = np.zeros((q.shape[1], b.shape[1]), dtype=np.uint8)
+    byte = np.empty_like(shared)
+    for qi, bi in zip(q, b):
+        np.bitwise_and(qi[:, None], bi[None, :], out=byte)
+        shared |= byte
+    return shared != 0
+
+
 def pair_similarity(L: np.ndarray) -> np.ndarray:
     """S_ij = 1 iff samples i and j share at least one label."""
-    L = np.asarray(L, dtype=np.float64)
-    if np.any(L.sum(axis=1) == 0):
+    packed = pack_labels(L)
+    if not packed.any(axis=0).all():
         raise ValueError("every sample must carry at least one label")
-    # shared-label counts are exact in float64, and a float GEMM runs in BLAS
-    # where an integer product has no fast path
-    return (L @ L.T > 0).astype(np.uint8)
+    return shares_label(packed, packed).view(np.uint8)
 
 
 def label_affinity(features: np.ndarray, L: np.ndarray,

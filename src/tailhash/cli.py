@@ -178,14 +178,17 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     out = _out_dir(args)
-    dataset = store.load_dataset(args.dataset)
+    dataset = store.load_dataset(args.dataset, [f"features_{args.modality}"])
+    rows = (dataset.base_indices if args.split == "base"
+            else dataset.query_indices)
+    if rows.size == 0:
+        raise CliError(f"{args.dataset}: no {args.split} split to encode")
     ckpt = store.load_checkpoint(args.checkpoint, expect_phase="hash")
     name = ckpt.hyper["variant"]
     variant = hashing.VARIANTS.get(name) if isinstance(name, str) else None
     if variant is None:
         raise CliError(f"{args.checkpoint}: unknown variant {name!r}")
-    X, Y, _ = dataset.base() if args.split == "base" else dataset.query()
-    raw = X if args.modality == "x" else Y
+    raw = (dataset.Fx_raw if args.modality == "x" else dataset.Fy_raw)[rows]
     codes = retrieval.encode_query(args.modality, raw, ckpt.icae, ckpt.side,
                                    variant)
     store.save_codes(out / f"codes_{args.modality}_{args.split}", codes,
@@ -203,16 +206,23 @@ def _check_head_count(args, dataset: datagen.Dataset) -> None:
                        f"{args.head_count}")
 
 
+def _check_query_split(args, dataset: datagen.Dataset) -> None:
+    """The dataset must have a query split to evaluate on."""
+    if dataset.query_indices.size == 0:
+        raise CliError(f"{args.dataset}: no query split to evaluate on")
+
+
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     if args.top_r is not None and args.top_r < 1:
         raise CliError(f"--top-r must be >= 1, got {args.top_r}")
-    dataset = store.load_dataset(args.dataset)
+    dataset = store.load_dataset(args.dataset, ["labels"])
     _check_head_count(args, dataset)
+    _check_query_split(args, dataset)
     q_codes, q_info = store.load_codes(args.query_codes)
     b_codes, b_info = store.load_codes(args.base_codes)
-    _, _, Lb = dataset.base()
-    _, _, Lq = dataset.query()
+    Lb = dataset.L[dataset.base_indices]
+    Lq = dataset.L[dataset.query_indices]
     q_modality, b_modality = retrieval.DIRECTIONS[args.direction]
     for path, codes, info, split, labels, modality in (
             (args.query_codes, q_codes, q_info, "query", Lq, q_modality),
@@ -250,8 +260,7 @@ def cmd_ablate(args) -> int:
     cfg = _run_config(args)
     dataset = store.load_dataset(args.dataset)
     _check_head_count(args, dataset)
-    if dataset.query_indices.size == 0:
-        raise CliError(f"{args.dataset}: no query split to evaluate on")
+    _check_query_split(args, dataset)
     phase1 = experiment.train_phase1(dataset, cfg)
     summary = {}
     for model in experiment.train_variants(dataset, cfg, phase1,

@@ -56,10 +56,11 @@ class LongTailSpec:
 
 @dataclass
 class Dataset:
-    """Two modality feature matrices (samples as rows) plus binary labels."""
-    Fx_raw: np.ndarray          # (n, raw_dim_x) float64
-    Fy_raw: np.ndarray          # (n, raw_dim_y) float64
-    L: np.ndarray               # (n, c) uint8
+    """Two modality feature matrices (samples as rows) plus binary labels;
+    a load that reads only some of the arrays leaves the others None."""
+    Fx_raw: Optional[np.ndarray]    # (n, raw_dim_x) float64
+    Fy_raw: Optional[np.ndarray]    # (n, raw_dim_y) float64
+    L: Optional[np.ndarray]         # (n, c) uint8
     base_indices: np.ndarray    # int64
     query_indices: np.ndarray   # int64
     meta: dict = field(default_factory=dict)

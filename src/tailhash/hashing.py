@@ -96,7 +96,7 @@ def update_B(Mx: np.ndarray, My: np.ndarray) -> np.ndarray:
     My = np.asarray(My, dtype=np.float64)
     if Mx.shape != My.shape:
         raise ValueError("meta feature shapes must match")
-    return np.where(Mx + My >= 0.0, 1.0, -1.0)
+    return 2.0 * (Mx + My >= 0.0) - 1.0
 
 
 # (commonality code, individuality memory feature) of one modality, (n, k) each

@@ -47,7 +47,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     # exponential of -|z|: never exponentiates a large positive argument.
     # minimum(z, -z) rather than -abs(z) keeps a NaN's sign bit
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # the numerator without a branch: max(e, 1) = 1 for z >= 0, where
+    # e <= 1, and max(e, 0) = e below; a NaN stays NaN
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def softplus(z: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import autoencoder, hashing, meta
+from . import affinity, autoencoder, hashing, meta
 
 # ranked items (query rows x base size) scored per block; bounds the block's
 # distance, relevance, order and ranked-relevance temporaries whatever the
@@ -58,10 +58,10 @@ def encode_query(modality: str, raw: np.ndarray,
     side_v = side.x if modality == "x" else side.y
     M = hashing.meta_pass(side_v, raw, lambda blk: hashing.modality_codes(
         icae, modality, raw[blk], variant))
-    # the sign in place: M >= 0 -> +1, else -1
-    pos = M >= 0.0
-    M.fill(-1.0)
-    M[pos] = 1.0
+    # the sign in place, without a data-dependent branch: M >= 0 -> +1,
+    # else -1, as 2 * (M >= 0) - 1
+    np.multiply(M >= 0.0, 2.0, out=M)
+    M -= 1.0
     return M
 
 
@@ -114,18 +114,19 @@ def _score(query_codes, query_labels, base_codes, base_labels,
     The blocks run on the calling thread: they are short, and numpy holds
     the interpreter lock in part of each, so worker threads would mostly
     pass the lock back and forth, with timings that follow the host's load.
-    Relevance counts shared labels with a float32 GEMM: the counts are
-    integers of at most c, exact in float32 for c < 2^24, and BLAS runs it
-    where an integer product has no fast path.
+    Relevance is affinity.shares_label of the label sets, bit-packed once
+    like the codes.
     """
     if topR is not None and topR < 1:
         raise ValueError(f"top R must be >= 1, got {topR}")
     q, b, bits = _packed(query_codes, base_codes)
-    Lq = np.asarray(query_labels, dtype=np.float32)
-    LbT = np.asarray(base_labels, dtype=np.float32).T
+    if np.shape(query_labels)[1] != np.shape(base_labels)[1]:
+        raise ValueError("query and base labels must have as many columns")
+    lq = affinity.pack_labels(query_labels)
+    lb = affinity.pack_labels(base_labels)
     nq, nb = q.shape[1], b.shape[1]
-    for what, n, rows in (("query", nq, Lq.shape[0]),
-                          ("base", nb, LbT.shape[1])):
+    for what, n, rows in (("query", nq, lq.shape[1]),
+                          ("base", nb, lb.shape[1])):
         if n != rows:
             raise ValueError(f"{what} codes have {n} columns but {what} "
                              f"labels have {rows} rows")
@@ -136,7 +137,7 @@ def _score(query_codes, query_labels, base_codes, base_labels,
     rows = max(1, BLOCK_ELEMS // max(nb, 1))
     for start in range(0, nq, rows):
         blk = slice(start, start + rows)
-        rel = Lq[blk] @ LbT > 0
+        rel = affinity.shares_label(lq[:, blk], lb)
         valid[blk] = rel.any(axis=1)
         ap, hits = _rank(_distances(q[:, blk], b, bits), rel, limit, ks)
         aps[blk] = np.where(valid[blk], ap, np.nan)

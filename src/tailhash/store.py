@@ -6,16 +6,17 @@ byte per cell (0/1) for label matrices, packed bits for hash codes (-1
 stored as 0). One writer, ``_save``, writes every container and one reader,
 ``_load``, reads every one: each array has an entry under the manifest's
 ``arrays`` with its file (a plain name inside the container), dtype, shape
-and CRC-32, and is checked against all of them. All formats share one
-``format_version``; a container of another version or kind is refused. A
-loader maps its record onto named arrays (a net's layers
+and CRC-32. Every entry is checked, and each array read is checked against
+its entry; ``load_dataset`` reads only the arrays its caller names. All
+formats share one ``format_version``; a container of another version or
+kind is refused. A loader maps its record onto named arrays (a net's layers
 ``<net>.l<i>.weight|bias``, a modality's calibration ``icae.<mod>.<field>``,
 hash codes ``codes``) and checks the type of every manifest value it reads,
 that codes are a matrix and, in a dataset, that features and labels have as
-many rows, one count per label and split indices in 0..n-1 that appear
-once. These failures and a missing key raise StoreError naming the
-manifest; an array file that does not fit its entry raises one naming the
-file.
+many rows by their manifest shapes, one count per label and split indices
+in 0..n-1 that appear once. These failures and a missing key raise
+StoreError naming the manifest; an array file that does not fit its entry
+raises one naming the file.
 
 A checkpoint's ``hyper`` is the caller's record of the run, which this
 module stores as given.
@@ -29,7 +30,7 @@ import json
 import math
 import zlib
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -76,7 +77,10 @@ def pack_codes(B: np.ndarray) -> bytes:
 def unpack_codes(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                          count=int(np.prod(shape)))
-    return np.where(bits.reshape(shape) > 0, 1.0, -1.0)
+    # 2 * bit - 1, without a data-dependent branch
+    codes = bits.reshape(shape) * 2.0
+    codes -= 1.0
+    return codes
 
 
 def _are_counts(v) -> bool:     # JSON true and false are not integers
@@ -150,10 +154,8 @@ def _read_array(path: Path, dtype: str, shape, crc32) -> np.ndarray:
         raise StoreError(f"cannot read {path}: {e}") from e
     if dtype == BITS:
         expected = (math.prod(shape) + 7) // 8
-    elif dtype in _DTYPES:
-        expected = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
     else:
-        raise StoreError(f"{path}: unknown dtype {dtype!r}")
+        expected = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
     if len(data) != expected:
         raise TruncatedFileError(
             f"{path}: expected {expected} bytes, found {len(data)}")
@@ -164,9 +166,12 @@ def _read_array(path: Path, dtype: str, shape, crc32) -> np.ndarray:
     return np.frombuffer(data, dtype=_DTYPES[dtype]).reshape(shape).copy()
 
 
-def _load(path, kind: str) -> tuple[_Manifest, _Manifest]:
-    """The manifest of the ``kind`` container at ``path`` and its arrays by
-    name, which raise StoreError for a missing name, as the manifest does."""
+def _load(path, kind: str, names: Optional[Iterable[str]] = None
+          ) -> tuple[_Manifest, _Manifest]:
+    """The manifest of the ``kind`` container at ``path`` and, by name, the
+    arrays in ``names`` (every array when None), which raise StoreError for
+    a missing name, as the manifest does. Every array entry is checked; only
+    the files of the arrays in ``names`` are read and checked against it."""
     root = Path(path)
     mpath = root / "manifest.json"
     if not mpath.is_file():
@@ -184,16 +189,23 @@ def _load(path, kind: str) -> tuple[_Manifest, _Manifest]:
             f"expected {FORMAT_VERSION}")
     if m.get("kind") != kind:
         raise StoreError(f"{root} is not a {kind} container")
-    arrays = _Manifest({}, mpath)
+    # name -> (file, dtype, shape, CRC-32), each checked
+    entries = _Manifest({}, mpath)
     for name, entry in m.get_as("arrays", "an object").items():
         at = f"arrays.{name}"
         _checked(entry, "an object", mpath, at)
-        arrays[name] = _read_array(
-            root / entry.get_as("file", "a plain file name", at + ".file"),
-            entry.get_as("dtype", "a string", at + ".dtype"),
-            tuple(entry.get_as("shape", "a list of non-negative integers",
-                               at + ".shape")),
-            entry.get_as("crc32", "a non-negative integer", at + ".crc32"))
+        file = entry.get_as("file", "a plain file name", at + ".file")
+        dtype = entry.get_as("dtype", "a string", at + ".dtype")
+        if dtype != BITS and dtype not in _DTYPES:
+            raise StoreError(f"{mpath}: {at}.dtype: unknown dtype {dtype!r}")
+        entries[name] = (root / file, dtype,
+                         tuple(entry.get_as("shape", "a list of non-negative "
+                                            "integers", at + ".shape")),
+                         entry.get_as("crc32", "a non-negative integer",
+                                      at + ".crc32"))
+    arrays = _Manifest({}, mpath)
+    for name in entries if names is None else names:
+        arrays[name] = _read_array(*entries[name])
     return m, arrays
 
 
@@ -218,16 +230,22 @@ def save_dataset(dataset: Dataset, path) -> None:
           query_indices=[int(i) for i in dataset.query_indices])
 
 
-def load_dataset(path) -> Dataset:
-    """The dataset at ``path``; ``meta["fingerprint"]`` holds the CRC-32s
-    of its feature arrays, as this load verified them."""
-    m, arrays = _load(path, "dataset")
-    Fx, Fy, L = arrays["features_x"], arrays["features_y"], arrays["labels"]
-    if not Fx.ndim == Fy.ndim == L.ndim == 2 or not (
-            Fx.shape[0] == Fy.shape[0] == L.shape[0]):
-        raise StoreError(f"{m.path}: features and labels of shapes {Fx.shape}"
-                         f", {Fy.shape}, {L.shape} are not as many rows")
-    n, c = L.shape
+def load_dataset(path, names: Optional[Iterable[str]] = None) -> Dataset:
+    """The dataset at ``path``, with the arrays in ``names`` read (every one
+    when None) and the others None. The row counts and split indices are
+    checked on the manifest's shapes, whichever arrays are read.
+    ``meta["fingerprint"]`` holds the manifest's CRC-32s of the feature
+    arrays; this load verified those of the features it read."""
+    m, arrays = _load(path, "dataset", names)
+    entries = m["arrays"]
+    shapes = [entries[name]["shape"]
+              for name in ("features_x", "features_y", "labels")]
+    if not all(len(s) == 2 for s in shapes) or len(
+            {s[0] for s in shapes}) != 1:
+        raise StoreError(f"{m.path}: features and labels of shapes "
+                         f"{', '.join(str(tuple(s)) for s in shapes)} are "
+                         f"not as many rows")
+    n, c = shapes[2]
     ints = {key: np.asarray(m.get_as(key, "a list of non-negative integers"),
                             dtype=np.int64)
             for key in ("base_indices", "query_indices", "label_counts",
@@ -238,7 +256,9 @@ def load_dataset(path) -> Dataset:
     if np.any(split >= n) or np.bincount(split).max(initial=0) > 1:
         raise StoreError(f"{m.path}: the split indices must name samples "
                          f"0..{n - 1}, each at most once")
-    return Dataset(Fx, Fy, L, ints["base_indices"], ints["query_indices"],
+    return Dataset(arrays.get("features_x"), arrays.get("features_y"),
+                   arrays.get("labels"), ints["base_indices"],
+                   ints["query_indices"],
                    meta={"spec": m["spec"],
                          "label_counts": ints["label_counts"],
                          "exclusive_labels": ints["exclusive_labels"],
@@ -246,7 +266,7 @@ def load_dataset(path) -> Dataset:
                                     for name, arr in arrays.items()
                                     if name.startswith("meta.")},
                          "fingerprint": {
-                             f"{name}_crc32": m["arrays"][name]["crc32"]
+                             f"{name}_crc32": entries[name]["crc32"]
                              for name in ("features_x", "features_y")}})
 
 

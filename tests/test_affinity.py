@@ -43,6 +43,42 @@ def test_pair_similarity_rejects_unlabeled_sample():
         affinity.pair_similarity(np.array([[1, 0], [0, 0]], dtype=np.uint8))
 
 
+def _labels(rng, n, c):
+    """n random 0/1 label rows over c labels, about two labels a row."""
+    return (rng.random((n, c)) < min(0.5, 2.0 / c)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("c", [1, 7, 8, 9, 24, 70])
+@pytest.mark.parametrize("nq, nb", [(13, 17), (1, 17), (13, 1), (1, 1)])
+def test_shares_label_is_the_label_product_test(c, nq, nb):
+    rng = np.random.default_rng(c)
+    Lq, Lb = _labels(rng, nq, c), _labels(rng, nb, c)
+    want = Lq.astype(np.int64) @ Lb.T.astype(np.int64) > 0
+    q, b = affinity.pack_labels(Lq), affinity.pack_labels(Lb)
+    got = affinity.shares_label(q, b)
+    assert got.dtype == bool and np.array_equal(got, want)
+    # single-row and single-column blocks of the packed sets, as ranking
+    # slices them
+    for i in range(nq):
+        assert np.array_equal(affinity.shares_label(q[:, i:i + 1], b),
+                              want[i:i + 1])
+    for j in range(nb):
+        assert np.array_equal(affinity.shares_label(q, b[:, j:j + 1]),
+                              want[:, j:j + 1])
+
+
+@pytest.mark.parametrize("c", [1, 9, 70])
+def test_pair_similarity_is_the_label_product_test(c):
+    L = _labels(np.random.default_rng(c), 30, c)
+    L[:, -1] = 1        # every sample carries a label
+    S = affinity.pair_similarity(L)
+    assert S.dtype == np.uint8
+    assert np.array_equal(S, (L.astype(np.int64) @ L.T > 0).astype(np.uint8))
+    L[7] = 0
+    with pytest.raises(ValueError, match="at least one label"):
+        affinity.pair_similarity(L)
+
+
 # ------------------------------------------------------- verify.avg_hausdorff
 
 def test_avg_hausdorff_identical_sets():

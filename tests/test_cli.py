@@ -408,6 +408,43 @@ def test_encode_rejects_ae_checkpoint(tmp_path):
     assert code == 1
 
 
+def test_encode_of_missing_query_split_refused_before_checkpoint(
+        tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path, query=0)
+    capsys.readouterr()
+
+    def load_checkpoint(*args, **kwargs):
+        raise AssertionError("the checkpoint was loaded")
+    monkeypatch.setattr(cli.store, "load_checkpoint", load_checkpoint)
+    out = tmp_path / "e"
+    code = run_cli(["encode", "--checkpoint", str(tmp_path / "run"),
+                    "--dataset", str(data / "dataset"), "--modality", "x",
+                    "--split", "query", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data / 'dataset'}: no query split to encode\n"
+    assert not out.exists()
+
+
+def test_eval_on_dataset_without_query_split_refused(tmp_path, capsys):
+    # empty query codes fit the empty split; the dataset is refused anyway
+    data = _gen(tmp_path, query=0)
+    n = store.load_dataset(data / "dataset").base_indices.size
+    qx, by = tmp_path / "qx", tmp_path / "by"
+    for path, modality, codes in ((qx, "x", np.ones((4, 0))),
+                                  (by, "y", np.ones((4, n)))):
+        store.save_codes(path, codes, info={"modality": modality,
+                                            "variant": "full"})
+    capsys.readouterr()
+    code = run_cli(["eval", "--query-codes", str(qx), "--base-codes", str(by),
+                    "--dataset", str(data / "dataset"),
+                    "--direction", "i2t", "--out", str(tmp_path / "ev")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {data / 'dataset'}: no query split to "
+                   f"evaluate on\n")
+
+
 def test_eval_rejects_bad_direction(tmp_path):
     data = _gen(tmp_path)
     run = _train(tmp_path, data)
@@ -815,12 +852,15 @@ BAD_ARTIFACTS = {
     "codes_one_row": ("codes", _flatten_codes),
     "features_x_file_outside": ("dataset",
                                 _move_array_out("features_x", False)),
+    # encode --modality x and eval read no features_y, and refuse it alike
+    "features_y_crc_string": ("dataset", _set_manifest_value(
+        "arrays", "features_y", "crc32", value="ab")),
     "codes_file_absolute": ("codes", _move_array_out("codes", True)),
 }
 
 
 def _bad_artifact_cases():
-    commands = {"dataset": ["train", "eval"],
+    commands = {"dataset": ["train", "encode", "eval"],
                 "checkpoint": ["resume", "encode"], "codes": ["eval"]}
     return [pytest.param(command, damage, id=f"{command}-{damage}")
             for damage, (kind, _) in BAD_ARTIFACTS.items()
@@ -856,6 +896,34 @@ def test_malformed_or_inconsistent_artifact_is_one_line_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {container / 'manifest.json'}: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "encode", "train"])
+def test_each_command_reads_only_the_arrays_it_uses(
+        pipeline, tmp_path, monkeypatch, command):
+    data, run = pipeline / "d" / "dataset", pipeline / "run"
+    qx, by = pipeline / "e1" / "codes_x_query", pipeline / "e2" / "codes_y_base"
+    argv = {"eval": ["eval", "--query-codes", str(qx), "--base-codes",
+                     str(by), "--dataset", str(data), "--direction", "i2t"],
+            "encode": ["encode", "--checkpoint", str(run / "checkpoint_hash"),
+                       "--dataset", str(data), "--modality", "x"],
+            "train": ["train", "--dataset", str(data), "--k", "4",
+                      "--max-epochs", "1", "--seed", "0"]}[command]
+    read, real = [], store._read_array
+
+    def spy(path, *entry):
+        read.append(path)
+        return real(path, *entry)
+    monkeypatch.setattr(store, "_read_array", spy)
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 0
+    from_dataset = sorted(p.name for p in read if p.parent == data)
+    if command == "eval":
+        assert sorted(read) == sorted([data / "labels.bin", qx / "codes.bin",
+                                       by / "codes.bin"])
+    elif command == "encode":
+        assert from_dataset == ["features_x.bin"]
+    else:
+        assert from_dataset == sorted(p.name for p in data.glob("*.bin"))
 
 
 # -------------------------------------------------------------------- ablate

@@ -156,6 +156,29 @@ def test_update_B_entries_exactly_pm1():
     assert set(np.unique(B)) <= {-1.0, 1.0}
 
 
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_branch_free_selects_are_the_where_forms_bit_for_bit(dtype):
+    rng = np.random.default_rng(12)
+    z = np.concatenate([SPECIAL, 10.0 * rng.standard_normal(3000)]
+                       ).astype(dtype)
+    z64 = z.astype(np.float64)
+    e = np.exp(np.minimum(z64, -z64))
+    want = np.where(z64 >= 0, 1.0, e) / (1.0 + e)
+    assert nn.sigmoid(z).view(np.uint64).tolist() == \
+        want.view(np.uint64).tolist()
+    # every pair of special values, then random pairs, as (k, n) matrices
+    Mx = np.concatenate([np.repeat(SPECIAL, len(SPECIAL)), z[:3000]])
+    My = np.concatenate([np.tile(SPECIAL, len(SPECIAL)), z[::-1][:3000]])
+    Mx, My = (M.astype(dtype).reshape(8, -1) for M in (Mx, My))
+    with np.errstate(invalid="ignore"):     # inf + -inf
+        want = np.where(Mx.astype(np.float64) + My >= 0.0, 1.0, -1.0)
+        got = hashing.update_B(Mx, My)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_update_B_exhaustive_optimality():
     name, passed, detail = check_sign_update(seed=0, trials=100)
     assert passed, detail
