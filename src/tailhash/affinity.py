@@ -253,16 +253,16 @@ def _label_pass(features: np.ndarray, screen: _Screen, member: np.ndarray,
     second-smallest value also lies within twice its bound (_screen) has
     more candidates; it takes the float64 minimum over all of them."""
     rows = np.flatnonzero(~member)
-    Y = features[member]
-    W = screen.rows[member]
+    cols = np.flatnonzero(member)
+    W = screen.rows[cols]
     W[:, :-1] *= -2.0        # exact in float32
-    W[:, -1] = screen.sq[member]
-    tol = 2.0 * (screen.rel * (screen.sq[rows] + screen.sq[member].max())
+    W[:, -1] = screen.sq[cols]
+    tol = 2.0 * (screen.rel * (screen.sq[rows] + screen.sq[cols].max())
                  + screen.floor)
     best = np.empty(rows.size, dtype=np.intp)
     # rows with further candidates: their positions and least squares
     more: list[tuple[np.ndarray, np.ndarray]] = []
-    step = max(1, BLOCK_ELEMS // Y.shape[0])
+    step = max(1, BLOCK_ELEMS // cols.size)
     for start in range(0, rows.size, step):
         G = screen.rows[rows[start:start + step]] @ W.T
         j = G.argmin(axis=1)
@@ -274,25 +274,25 @@ def _label_pass(features: np.ndarray, screen: _Screen, member: np.ndarray,
         multi = np.flatnonzero(G.min(axis=1) <= bound)
         if multi.size:
             r, k = np.nonzero(G[multi] <= bound[multi, None])
-            d2 = _sq_dists(features, rows[start + multi[r]], Y, k)
+            d2 = _sq_dists(features, rows[start + multi[r]], cols[k])
             firsts = np.flatnonzero(np.diff(r, prepend=-1))
             more.append((start + multi, np.minimum.reduceat(d2, firsts)))
-    nn2 = _sq_dists(features, rows, Y, best)
+    nn2 = _sq_dists(features, rows, cols[best])
     for at, d2 in more:
         nn2[at] = np.minimum(nn2[at], d2)
     out[rows] = nn2
 
 
-def _sq_dists(features: np.ndarray, rows: np.ndarray, Y: np.ndarray,
+def _sq_dists(features: np.ndarray, rows: np.ndarray,
               cols: np.ndarray) -> np.ndarray:
-    """float64 ||features[rows[k]] - Y[cols[k]]||^2 for each pair k, each
-    a sum over one C-ordered row of squared differences, taken in chunks
-    of at most BLOCK_ELEMS elements."""
+    """float64 ||features[rows[k]] - features[cols[k]]||^2 for each pair k,
+    each a sum over one C-ordered row of squared differences, taken in
+    chunks of at most BLOCK_ELEMS elements."""
     out = np.empty(rows.size)
-    step = max(1, BLOCK_ELEMS // max(1, Y.shape[1]))
+    step = max(1, BLOCK_ELEMS // max(1, features.shape[1]))
     for start in range(0, rows.size, step):
         diff = features[rows[start:start + step]]
-        diff -= Y[cols[start:start + step]]
+        diff -= features[cols[start:start + step]]
         diff *= diff
         out[start:start + step] = diff.sum(axis=1)
     return out

@@ -191,10 +191,14 @@ def recall(cal: Calibration, P: np.ndarray) -> np.ndarray:
     RMS over the base split.
     """
     d2 = _sq_dists(np.asarray(P, dtype=np.float64), cal.prototypes)
+    # in place: the (n, c) attention is the largest array of a recall
     d2 -= d2.min(axis=1, keepdims=True)
-    o = np.exp(-d2 / (MEMORY_TEMPERATURE * cal.dist_scale))
+    np.negative(d2, out=d2)
+    d2 /= MEMORY_TEMPERATURE * cal.dist_scale
+    o = np.exp(d2, out=d2)
     o /= o.sum(axis=1, keepdims=True)
-    return (o * cal.weights) @ cal.prototypes / cal.out_scale
+    o *= cal.weights
+    return o @ cal.prototypes / cal.out_scale
 
 
 def calibrate(params: IcaeParams, Xb: np.ndarray, Yb: np.ndarray,
@@ -226,12 +230,16 @@ def calibrate(params: IcaeParams, Xb: np.ndarray, Yb: np.ndarray,
         P[v] = (Pv - mean) / scale
         protos[v] = np.linalg.lstsq(Lf, P[v], rcond=None)[0]
         energy[v] = np.sum(protos[v] ** 2, axis=1)
+        # the raw codes are done with before the next modality's pass, the
+        # float labels after the last; recall's passes need the room
+        del C, Pv
+    del Lf
     params.calibration = {}
     for v, u in (("x", "y"), ("y", "x")):
         total = np.maximum(energy[v] + energy[u], SCALE_FLOOR)
         weights = np.clip((energy[v] - energy[u]) / total, 0.0, 1.0)
-        d2 = _sq_dists(P[v], protos[v])
-        dist_scale = max(float(np.mean(d2.min(axis=1))), SCALE_FLOOR)
+        dist_scale = max(float(np.mean(
+            _sq_dists(P[v], protos[v]).min(axis=1))), SCALE_FLOOR)
         cal = Calibration(*scales[v], protos[v], weights, dist_scale, 1.0)
         cal.out_scale = max(float(np.sqrt(np.mean(recall(cal, P[v]) ** 2))),
                             SCALE_FLOOR)

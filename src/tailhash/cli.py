@@ -110,10 +110,11 @@ def _run_config(args) -> experiment.RunConfig:
 def cmd_gen_data(args) -> int:
     out = _out_dir(args)
     spec = _settings(datagen.LongTailSpec, args)
+    n = int(datagen.zipf_counts(spec.z1, spec.c, spec.mu).sum())
+    if not 0 <= args.query_size < n:
+        raise CliError(f"--query-size must lie in 0..{n - 1} for {n} "
+                       f"samples, not {args.query_size}")
     dataset = datagen.generate(spec)
-    if not 0 <= args.query_size < dataset.n:
-        raise CliError(f"--query-size must lie in 0..{dataset.n - 1} for "
-                       f"{dataset.n} samples, not {args.query_size}")
     if args.query_size > 0:
         dataset = datagen.split(dataset, args.query_size, seed=spec.seed)
     store.save_dataset(dataset, out / "dataset")
@@ -150,6 +151,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     cfg = _run_config(args)
     dataset = store.load_dataset(args.dataset)
+    # phase 1 and phase 2 view the base rows; the rest is dropped
+    dataset.keep_splits(query=False)
     variant = hashing.VARIANTS[args.variant]
 
     # every checkpoint records the whole run configuration
@@ -261,6 +264,7 @@ def cmd_ablate(args) -> int:
     dataset = store.load_dataset(args.dataset)
     _check_head_count(args, dataset)
     _check_query_split(args, dataset)
+    dataset.keep_splits()
     phase1 = experiment.train_phase1(dataset, cfg)
     summary = {}
     for model in experiment.train_variants(dataset, cfg, phase1,

@@ -5,7 +5,9 @@ set directly or derived from a target imbalance factor IF = z1 / zc. Each
 label plants a shared latent prototype (visible to both modalities) and one
 private prototype per modality; a configurable fraction of the rarest labels
 is made modality-exclusive: their signal appears only in one modality's
-private term, alternating between modalities.
+private term, alternating between modalities. The features are built in
+place, and their noise is drawn in row chunks from the one stream, in the
+order of a whole-matrix draw, so the chunk size changes no byte.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
+
+# elements of one chunk of noise; bounds generate's temporaries to a few MB
+BLOCK_ELEMS = 1 << 18
 
 
 @dataclass
@@ -74,12 +79,37 @@ class Dataset:
         return self.L.shape[1]
 
     def base(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        i = self.base_indices
-        return self.Fx_raw[i], self.Fy_raw[i], self.L[i]
+        return self._rows(self.base_indices)
 
     def query(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        i = self.query_indices
-        return self.Fx_raw[i], self.Fy_raw[i], self.L[i]
+        return self._rows(self.query_indices)
+
+    def _rows(self, i: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``i`` of (Fx_raw, Fy_raw, L): read-only views when ``i`` is
+        a contiguous ascending range, gathered copies otherwise."""
+        lo = int(i[0]) if i.size else 0
+        if not np.array_equal(i, np.arange(lo, lo + i.size)):
+            return self.Fx_raw[i], self.Fy_raw[i], self.L[i]
+        views = tuple(a[lo:lo + i.size]
+                      for a in (self.Fx_raw, self.Fy_raw, self.L))
+        for v in views:
+            v.flags.writeable = False
+        return views
+
+    def keep_splits(self, query: bool = True) -> None:
+        """Keep only the base rows, then the query rows (when ``query``;
+        otherwise the query split is dropped), one array at a time, in
+        place. The splits become contiguous ranges, so base() and query()
+        then view them without a copy, and a caller that holds no other
+        reference to the old arrays holds each row once."""
+        nb = self.base_indices.size
+        rows = (np.concatenate([self.base_indices, self.query_indices])
+                if query else self.base_indices)
+        for name in ("Fx_raw", "Fy_raw", "L"):
+            setattr(self, name, getattr(self, name)[rows])
+        self.base_indices = np.arange(nb, dtype=np.int64)
+        self.query_indices = np.arange(nb, rows.size, dtype=np.int64)
 
 
 def mu_from_if(imbalance_factor: float, c: int) -> float:
@@ -154,14 +184,17 @@ def generate(spec: LongTailSpec) -> Dataset:
                 L[i, b] = 1
             i += 1
 
-    s_sum = L.astype(np.float64) @ shared        # (n, shared_dim)
-    px_sum = L.astype(np.float64) @ priv_x
-    py_sum = L.astype(np.float64) @ priv_y
-    Fx = s_sum @ Gx.T + px_sum @ Hx.T
-    Fy = s_sum @ Gy.T + py_sum @ Hy.T
+    Lf = L.astype(np.float64)
+    s_sum = Lf @ shared                          # (n, shared_dim)
+    px_sum, py_sum = Lf @ priv_x, Lf @ priv_y
+    del Lf
+    Fx = s_sum @ Gx.T
+    Fx += px_sum @ Hx.T
+    Fy = s_sum @ Gy.T
+    Fy += py_sum @ Hy.T
     if spec.noise_sigma > 0:
-        Fx = Fx + spec.noise_sigma * rng.standard_normal(Fx.shape)
-        Fy = Fy + spec.noise_sigma * rng.standard_normal(Fy.shape)
+        for F in (Fx, Fy):
+            _add_noise(F, spec.noise_sigma, rng)
 
     meta = {
         "spec": asdict(spec),
@@ -176,6 +209,21 @@ def generate(spec: LongTailSpec) -> Dataset:
                    base_indices=np.arange(n, dtype=np.int64),
                    query_indices=np.zeros(0, dtype=np.int64),
                    meta=meta)
+
+
+def _add_noise(F: np.ndarray, sigma: float, rng: np.random.Generator
+               ) -> None:
+    """F += sigma * N(0, 1), drawn in row chunks of at most BLOCK_ELEMS
+    elements into one buffer. The chunks take the stream's values in the
+    order one (n, d) draw would, so F is the same as with that draw."""
+    n, d = F.shape
+    step = max(1, BLOCK_ELEMS // d)
+    buf = np.empty((min(step, n), d))
+    for start in range(0, n, step):
+        noise = buf[:min(step, n - start)]
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        F[start:start + noise.shape[0]] += noise
 
 
 def split(dataset: Dataset, query_size: int, seed: int = 0) -> Dataset:

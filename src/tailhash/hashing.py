@@ -206,6 +206,7 @@ def train_hash(dataset: Dataset, icae: autoencoder.IcaeParams,
                            eta) / nb ** 2
             _step_side(side.y, fwd_y, gy, cfg.lr_feat)
 
+        del B       # replaced below; the whole-split pass needs the room
         _, _, B = full_base_codes(side, Xb, Yb, base_codes)
         trace.append(float(np.mean(batch_losses)))
     return side, B, trace

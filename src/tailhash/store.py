@@ -7,7 +7,11 @@ stored as 0). One writer, ``_save``, writes every container and one reader,
 ``_load``, reads every one: each array has an entry under the manifest's
 ``arrays`` with its file (a plain name inside the container), dtype, shape
 and CRC-32. Every entry is checked, and each array read is checked against
-its entry; ``load_dataset`` reads only the arrays its caller names. All
+its entry; ``load_dataset`` reads only the arrays its caller names. An
+array that is C-ordered in its stored dtype is written, and its CRC-32
+taken, from its own buffer; an array is read into its final buffer once
+the file's size fits the entry, and its CRC-32 is checked there, with no
+copy of the bytes beside it. All
 formats share one ``format_version``; a container of another version or
 kind is refused. A loader maps its record onto named arrays (a net's layers
 ``<net>.l<i>.weight|bias``, a modality's calibration ``icae.<mod>.<field>``,
@@ -28,6 +32,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import zlib
 from pathlib import Path
 from typing import Iterable, Optional
@@ -69,12 +74,13 @@ _DTYPES = {"float64": "<f8", "uint8": "u1"}
 BITS = "bits"   # a +/-1 matrix packed one bit per cell
 
 
-def pack_codes(B: np.ndarray) -> bytes:
-    """Bit-pack a +/-1 matrix (-1 stored as 0)."""
-    return np.packbits(np.asarray(B) > 0).tobytes()
+def pack_codes(B: np.ndarray) -> np.ndarray:
+    """Bit-pack a +/-1 matrix (-1 stored as 0) into uint8 bytes."""
+    return np.packbits(np.asarray(B) > 0)
 
 
-def unpack_codes(data: bytes, shape: tuple[int, int]) -> np.ndarray:
+def unpack_codes(data, shape: tuple[int, int]) -> np.ndarray:
+    """The +/-1 matrix of ``shape`` whose bits the bytes ``data`` pack."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                          count=int(np.prod(shape)))
     # 2 * bit - 1, without a data-dependent branch
@@ -134,11 +140,12 @@ def _save(path, kind: str, arrays: dict[str, np.ndarray], bits=(),
     entries = {}
     for name, arr in arrays.items():
         if name in bits:
-            dtype, data = BITS, pack_codes(arr)
+            dtype, stored = BITS, pack_codes(arr)
         elif arr.dtype == np.uint8:
-            dtype, data = "uint8", np.ascontiguousarray(arr).tobytes()
+            dtype, stored = "uint8", np.ascontiguousarray(arr)
         else:
-            dtype, data = "float64", np.ascontiguousarray(arr, "<f8").tobytes()
+            dtype, stored = "float64", np.ascontiguousarray(arr, "<f8")
+        data = _bytes_of(stored)
         (root / f"{name}.bin").write_bytes(data)
         entries[name] = {"file": f"{name}.bin", "dtype": dtype,
                          "shape": list(arr.shape), "crc32": zlib.crc32(data)}
@@ -147,23 +154,34 @@ def _save(path, kind: str, arrays: dict[str, np.ndarray], bits=(),
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
+def _bytes_of(arr: np.ndarray) -> np.ndarray:
+    """The bytes of the C-contiguous ``arr``, as a flat uint8 view."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def _read_array(path: Path, dtype: str, shape, crc32) -> np.ndarray:
+    """The array of the entry (path, dtype, shape, CRC-32), read into its
+    final buffer once the file's size fits the entry, and checked there."""
+    if dtype == BITS:
+        kind, stored = np.dtype(np.uint8), ((math.prod(shape) + 7) // 8,)
+    else:
+        kind, stored = np.dtype(_DTYPES[dtype]), tuple(shape)
+    expected = math.prod(stored) * kind.itemsize
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size == expected:
+                arr = np.empty(stored, kind)
+                data = _bytes_of(arr)
+                size = fh.readinto(data)
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
-    if dtype == BITS:
-        expected = (math.prod(shape) + 7) // 8
-    else:
-        expected = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
-    if len(data) != expected:
+    if size != expected:
         raise TruncatedFileError(
-            f"{path}: expected {expected} bytes, found {len(data)}")
+            f"{path}: expected {expected} bytes, found {size}")
     if zlib.crc32(data) != crc32:
         raise ChecksumError(f"{path}: CRC-32 mismatch")
-    if dtype == BITS:
-        return unpack_codes(data, shape)
-    return np.frombuffer(data, dtype=_DTYPES[dtype]).reshape(shape).copy()
+    return unpack_codes(arr, shape) if dtype == BITS else arr
 
 
 def _load(path, kind: str, names: Optional[Iterable[str]] = None
@@ -213,7 +231,7 @@ def _load(path, kind: str, names: Optional[Iterable[str]] = None
 
 def save_dataset(dataset: Dataset, path) -> None:
     arrays = {"features_x": dataset.Fx_raw, "features_y": dataset.Fy_raw,
-              "labels": dataset.L.astype(np.uint8)}
+              "labels": dataset.L.astype(np.uint8, copy=False)}
     for name, arr in dataset.meta.get("arrays", {}).items():
         arrays["meta." + name] = arr
     _save(path, "dataset", arrays,

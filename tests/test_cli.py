@@ -68,6 +68,42 @@ def test_gen_data_rejects_query_size_outside_dataset(tmp_path, capsys, size):
     assert not (out / "dataset").exists()
 
 
+@pytest.mark.parametrize("size", [-1, 67])
+def test_gen_data_refuses_query_size_before_generating(tmp_path, monkeypatch,
+                                                       capsys, size):
+    def generate(spec):
+        raise AssertionError("generate ran before the query size was checked")
+
+    monkeypatch.setattr(datagen, "generate", generate)
+    code = run_cli(["gen-data", "--c", "4", "--z1", "40", "--if", "8",
+                    "--query-size", str(size), "--out", str(tmp_path / "d")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --query-size must lie in 0..66 for 67 samples, not {size}\n")
+
+
+def test_gen_data_bytes_are_pinned(tmp_path):
+    # CRC-32s of the files this spec gave before the noise was drawn in row
+    # chunks, and of its split indices as little-endian int64: a change to
+    # the noise drawing or to the RNG stream changes them. The features
+    # pass through BLAS products, pinned here as numpy's bundled OpenBLAS
+    # rounds them
+    out = tmp_path / "d"
+    assert run_cli(["gen-data", "--c", "8", "--z1", "120", "--if", "8",
+                    "--noise-sigma", "1.0", "--exclusive-tail-fraction", "0.5",
+                    "--query-size", "40", "--seed", "3",
+                    "--out", str(out)]) == 0
+    data = out / "dataset"
+    manifest = json.loads((data / "manifest.json").read_text())
+    crcs = {name: zlib.crc32((data / f"{name}.bin").read_bytes())
+            for name in ("features_x", "features_y", "labels")}
+    crcs.update({key: zlib.crc32(np.asarray(manifest[key], "<i8").tobytes())
+                 for key in ("base_indices", "query_indices")})
+    assert crcs == {"features_x": 3053562241, "features_y": 1614501573,
+                    "labels": 3058208442, "base_indices": 1453826523,
+                    "query_indices": 723348961}
+
+
 def test_gen_data_reports_split_sizes_written(tmp_path, capsys):
     # 66 of 67 asked for; the split keeps one sample of every label in base
     out = tmp_path / "d"
@@ -222,6 +258,27 @@ def test_train_resume_skips_phase_one(tmp_path):
     assert code == 0
     assert (run / "checkpoint_ae" / "manifest.json").read_bytes() == before
 
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_training_views_the_split_rows_it_keeps(tmp_path, monkeypatch,
+                                               command):
+    # train and ablate gather their split rows once; phase 1, phase 2 and
+    # ablate's evaluation then view them instead of gathering copies
+    data = _gen(tmp_path)
+    seen = []
+    for name in ("base", "query"):
+        real = getattr(datagen.Dataset, name)
+        monkeypatch.setattr(datagen.Dataset, name,
+                            lambda self, real=real: seen.append(real(self))
+                            or seen[-1])
+    assert run_cli([command, "--dataset", str(data / "dataset"),
+                    "--out", str(tmp_path / "run"), "--k", "4",
+                    "--max-epochs", "1", "--seed", "0"]) == 0
+    assert len(seen) >= (2 if command == "train" else 14)
+    for arrays in seen:
+        for arr in arrays:
+            assert not arr.flags.owndata and not arr.flags.writeable
 
 
 def test_train_and_resume_write_the_codes_of_the_variant_runner(tmp_path):

@@ -154,6 +154,20 @@ def test_generate_deterministic_per_seed():
     np.testing.assert_array_equal(a.L, b.L)
 
 
+def test_generate_noise_chunks_leave_the_bytes_alone(monkeypatch):
+    # the noise is drawn in row chunks from the stream a whole-matrix draw
+    # would take; one row per chunk, a few rows and one chunk all agree
+    spec = _tiny_spec(noise_sigma=0.7, secondary_label_prob=0.5)
+    monkeypatch.setattr(datagen, "BLOCK_ELEMS", 1 << 40)
+    whole = datagen.generate(spec)
+    for elems in (1, 25):
+        monkeypatch.setattr(datagen, "BLOCK_ELEMS", elems)
+        chunked = datagen.generate(spec)
+        assert chunked.Fx_raw.tobytes() == whole.Fx_raw.tobytes()
+        assert chunked.Fy_raw.tobytes() == whole.Fy_raw.tobytes()
+        assert chunked.L.tobytes() == whole.L.tobytes()
+
+
 def test_generate_realized_if_close_to_target():
     spec = datagen.LongTailSpec(c=12, z1=1000, imbalance_factor=50.0)
     z = datagen.zipf_counts(spec.z1, spec.c, spec.mu)
@@ -222,3 +236,40 @@ def test_split_rejects_oversized_query():
         datagen.split(ds, ds.n)
     with pytest.raises(ValueError):
         datagen.split(ds, -1)
+
+
+def test_contiguous_split_rows_are_read_only_views():
+    ds = datagen.generate(_tiny_spec())     # base 0..n-1, no query
+    for arr, whole in zip(ds.base(), (ds.Fx_raw, ds.Fy_raw, ds.L)):
+        assert np.shares_memory(arr, whole) and not arr.flags.writeable
+        np.testing.assert_array_equal(arr, whole)
+    for arr in ds.query():
+        assert arr.shape[0] == 0
+    # a split of scattered rows is gathered into copies of its own
+    out = datagen.split(ds, 5, seed=1)
+    i = out.base_indices
+    for arr, want in zip(out.base(), (ds.Fx_raw[i], ds.Fy_raw[i], ds.L[i])):
+        assert arr.flags.owndata and arr.flags.writeable
+        np.testing.assert_array_equal(arr, want)
+
+
+@pytest.mark.parametrize("query", [True, False])
+def test_keep_splits_holds_the_split_rows_once(query):
+    ds = datagen.generate(_tiny_spec(secondary_label_prob=0.5))
+    full = datagen.split(ds, 5, seed=1)
+    kept = datagen.split(ds, 5, seed=1)
+    kept.keep_splits(query=query)
+    nb, nq = full.base_indices.size, full.query_indices.size
+    assert kept.n == nb + (nq if query else 0)
+    np.testing.assert_array_equal(kept.base_indices, np.arange(nb))
+    np.testing.assert_array_equal(kept.query_indices,
+                                  np.arange(nb, nb + nq) if query else [])
+    pairs = [*zip(kept.base(), full.base()),
+             *((got, want if query else want[:0])
+               for got, want in zip(kept.query(), full.query()))]
+    for got, want in pairs:
+        assert not got.flags.owndata and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+    # the gathered arrays replace the full ones, which are left untouched
+    assert not np.shares_memory(kept.Fx_raw, full.Fx_raw)
+    np.testing.assert_array_equal(full.Fx_raw, ds.Fx_raw)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -59,6 +60,71 @@ def test_dataset_truncated_file_raises(tmp_path):
     target.write_bytes(target.read_bytes()[:-16])
     with pytest.raises(store.TruncatedFileError):
         store.load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("kind", ["float64", "bits"])
+def test_array_file_with_trailing_bytes_refused(tmp_path, kind):
+    if kind == "float64":
+        store.save_dataset(_dataset(), tmp_path / "d")
+        target, load = tmp_path / "d" / "features_x.bin", store.load_dataset
+    else:
+        store.save_codes(tmp_path / "d", np.ones((4, 9)))
+        target, load = tmp_path / "d" / "codes.bin", store.load_codes
+    size = target.stat().st_size
+    target.write_bytes(target.read_bytes() + b"\0")
+    with pytest.raises(store.TruncatedFileError,
+                       match=f"^{re.escape(str(target))}: expected {size} "
+                             f"bytes, found {size + 1}$"):
+        load(tmp_path / "d")
+
+
+def test_loaded_arrays_are_c_ordered_writable_and_own_their_data(tmp_path):
+    store.save_dataset(_dataset(), tmp_path / "d")
+    ds = store.load_dataset(tmp_path / "d")
+    store.save_codes(tmp_path / "c", np.ones((4, 9)))
+    codes, _ = store.load_codes(tmp_path / "c")
+    for arr in (ds.Fx_raw, ds.Fy_raw, ds.L, *ds.meta["arrays"].values(),
+                codes):
+        assert arr.flags.c_contiguous and arr.flags.writeable
+        assert arr.flags.owndata
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _array_bytes(ds) -> int:
+    return sum(a.nbytes for a in (ds.Fx_raw, ds.Fy_raw, ds.L,
+                                  *ds.meta["arrays"].values()))
+
+
+@pytest.fixture(scope="module")
+def sizable_dataset():
+    # about 3.7 MB of arrays, so that the manifest's index lists stay small
+    # beside them
+    spec = datagen.LongTailSpec(c=8, z1=1500, imbalance_factor=8.0, seed=0)
+    return datagen.split(datagen.generate(spec), 200, seed=0)
+
+
+def test_load_dataset_memory_is_about_its_arrays(tmp_path, sizable_dataset):
+    # tracemalloc sees numpy's data buffers: each array is read into its
+    # final buffer, with no bytes object or copy beside it
+    store.save_dataset(sizable_dataset, tmp_path / "d")
+    ds, peak = _traced_peak(store.load_dataset, tmp_path / "d")
+    assert peak <= 1.15 * _array_bytes(ds)
+
+
+def test_save_dataset_memory_is_a_fraction_of_its_arrays(tmp_path,
+                                                          sizable_dataset):
+    # each array is written, and checksummed, from its own buffer
+    _, peak = _traced_peak(store.save_dataset, sizable_dataset,
+                           tmp_path / "d")
+    assert peak <= 0.3 * _array_bytes(sizable_dataset)
 
 
 def test_dataset_version_mismatch_raises(tmp_path):
