@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
-
-SIGMA_FLOOR = 1e-8
-# elements of one row block's distance matrix in the nearest-member pass;
-# bounds each thread's temporaries to a few MB whatever the label sizes
-BLOCK_ELEMS = 1 << 18
+from . import hsic, nn
 
 
 @dataclass
@@ -84,7 +79,7 @@ def label_affinity(features: np.ndarray, L: np.ndarray,
     nearest member of label b (0 for a member; _nearest_member_sq_dists)
     and S[a, b] its sum over the members of a, H = (S + S^T) / (n_a + n_b)
     with a zero diagonal. sigma is the mean of the off-diagonal H entries
-    (floored to avoid blow-up on degenerate all-identical data). Raises
+    (hsic._mean_offdiagonal, floored against all-identical data). Raises
     ValueError for a label without samples, and for features that are not
     all finite or whose squared distances overflow float64, which ``name``
     names.
@@ -111,8 +106,7 @@ def label_affinity(features: np.ndarray, L: np.ndarray,
                   for a in range(c)])
     H = (S + S.T) / (counts[:, None] + counts[None, :])
     np.fill_diagonal(H, 0.0)
-    off = H[~np.eye(c, dtype=bool)]
-    sigma = max(float(off.mean()) if off.size else 0.0, SIGMA_FLOOR)
+    sigma = hsic._mean_offdiagonal(H)
     R = np.exp(-H / sigma ** 2)
     return LabelAffinity(H, R, sigma)
 
@@ -148,7 +142,8 @@ def _nearest_member_sq_dists(features: np.ndarray,
     lists; the calling thread runs one list and threads opened for this
     call run the others. numpy releases the interpreter lock inside the
     GEMMs and reductions, so the lists overlap on separate CPUs. Every row
-    block holds up to BLOCK_ELEMS elements whatever the thread count. The
+    block holds up to nn.BLOCK_ELEMS elements whatever the thread count and
+    the label sizes. The
     passes call numpy only: the tracing in ``perfbench`` assumes that every
     span of the package nests on one thread.
     """
@@ -158,7 +153,7 @@ def _nearest_member_sq_dists(features: np.ndarray,
     counts = members.sum(axis=0)
     # a member is its own nearest member, so only the others are searched
     work = (n - counts) * counts
-    workers = _workers_for(work.sum() / BLOCK_ELEMS)
+    workers = _workers_for(work.sum() / nn.BLOCK_ELEMS)
     lists: list[list[int]] = [[] for _ in range(workers)]
     loads = [0] * workers
     for b in np.argsort(-work, kind="stable"):
@@ -262,7 +257,7 @@ def _label_pass(features: np.ndarray, screen: _Screen, member: np.ndarray,
     best = np.empty(rows.size, dtype=np.intp)
     # rows with further candidates: their positions and least squares
     more: list[tuple[np.ndarray, np.ndarray]] = []
-    step = max(1, BLOCK_ELEMS // cols.size)
+    step = max(1, nn.BLOCK_ELEMS // cols.size)
     for start in range(0, rows.size, step):
         G = screen.rows[rows[start:start + step]] @ W.T
         j = G.argmin(axis=1)
@@ -287,9 +282,9 @@ def _sq_dists(features: np.ndarray, rows: np.ndarray,
               cols: np.ndarray) -> np.ndarray:
     """float64 ||features[rows[k]] - features[cols[k]]||^2 for each pair k,
     each a sum over one C-ordered row of squared differences, taken in
-    chunks of at most BLOCK_ELEMS elements."""
+    chunks of at most nn.BLOCK_ELEMS elements."""
     out = np.empty(rows.size)
-    step = max(1, BLOCK_ELEMS // max(1, features.shape[1]))
+    step = max(1, nn.BLOCK_ELEMS // max(1, features.shape[1]))
     for start in range(0, rows.size, step):
         diff = features[rows[start:start + step]]
         diff -= features[cols[start:start + step]]

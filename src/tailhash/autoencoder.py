@@ -161,22 +161,6 @@ def raw_codes(params: IcaeParams, modality: str, raw: np.ndarray
     return Cs.T, P.T
 
 
-def hash_codes(params: IcaeParams, modality: str, raw: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Codes one modality contributes to its meta features, (n, k) each.
-
-    Returns the scaled commonality code (raw_codes) and the label-memory
-    recall of the standardized individuality code. Training and query
-    encoding both call this, so a sample gets the same codes in either role.
-    """
-    if params.calibration is None:
-        raise ValueError("calibrate the autoencoder before hashing")
-    C, P = raw_codes(params, modality, raw)
-    cal = params.calibration[modality]
-    P = (P - cal.ind_mean) / cal.ind_scale
-    return C / cal.common_scale, recall(cal, P)
-
-
 def _sq_dists(P: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Squared distances of (n, k) code rows to (c, k) prototypes, (n, c)."""
     return (np.sum(P ** 2, axis=1)[:, None] - 2.0 * P @ prototypes.T
@@ -204,7 +188,8 @@ def recall(cal: Calibration, P: np.ndarray) -> np.ndarray:
 def calibrate(params: IcaeParams, Xb: np.ndarray, Yb: np.ndarray,
               Lb: np.ndarray) -> None:
     """Measure each modality's Calibration over the base split, from the
-    same pass hash_codes runs, and store them on params.
+    single-modality pass (raw_codes) that hashing.modality_codes runs, and
+    store them on params.
 
     The individuality codes are centred and scaled by the RMS about their
     mean: an off-centre code would enter every hash bit as a bias, which

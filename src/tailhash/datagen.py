@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-# elements of one chunk of noise; bounds generate's temporaries to a few MB
-BLOCK_ELEMS = 1 << 18
+from . import nn
 
 
 @dataclass
@@ -47,6 +46,11 @@ class LongTailSpec:
             if self.imbalance_factor is None:
                 raise ValueError("give either mu or imbalance_factor")
             self.mu = mu_from_if(self.imbalance_factor, self.c)
+        elif (self.imbalance_factor is not None
+              and self.mu != mu_from_if(self.imbalance_factor, self.c)):
+            # a spec rebuilt from its own record gives both, and they agree
+            raise ValueError(f"mu {self.mu} contradicts imbalance factor "
+                             f"{self.imbalance_factor}; give one of them")
         if self.mu < 0:
             raise ValueError("mu must be >= 0")
         for d in (self.raw_dim_x, self.raw_dim_y, self.shared_dim,
@@ -213,11 +217,12 @@ def generate(spec: LongTailSpec) -> Dataset:
 
 def _add_noise(F: np.ndarray, sigma: float, rng: np.random.Generator
                ) -> None:
-    """F += sigma * N(0, 1), drawn in row chunks of at most BLOCK_ELEMS
-    elements into one buffer. The chunks take the stream's values in the
-    order one (n, d) draw would, so F is the same as with that draw."""
+    """F += sigma * N(0, 1), drawn in row chunks of at most nn.BLOCK_ELEMS
+    elements into one buffer, which bounds generate's temporaries. The
+    chunks take the stream's values in the order one (n, d) draw would, so
+    F is the same as with that draw."""
     n, d = F.shape
-    step = max(1, BLOCK_ELEMS // d)
+    step = max(1, nn.BLOCK_ELEMS // d)
     buf = np.empty((min(step, n), d))
     for start in range(0, n, step):
         noise = buf[:min(step, n - start)]

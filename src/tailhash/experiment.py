@@ -108,8 +108,9 @@ def evaluate_model(dataset: Dataset, model: TrainedModel,
     if dataset.query_indices.size == 0:
         raise ValueError("dataset has no query split")
     Xq, Yq, Lq = dataset.query()
-    _, _, Lb = dataset.base()
-    counts = dataset.meta.get("label_counts", Lb.sum(axis=0))
+    Lb = dataset.L[dataset.base_indices]    # base() gathers features too
+    counts = (dataset.meta["label_counts"] if "label_counts" in dataset.meta
+              else Lb.sum(axis=0))
     raws = {"x": Xq, "y": Yq}
     reports = {}
     for direction, (modality, _) in retrieval.DIRECTIONS.items():

@@ -23,28 +23,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Variant:
-    """Which meta-feature terms are active; implements the ablations."""
+    """An ablation: the (commonality, individuality) codes each modality's
+    meta features keep; modality_codes zeroes a dropped one."""
     name: str
-    use_common: bool = True
-    use_individual: bool = True
-    use_meta_x: bool = True     # False: M^x := F^x
-    use_meta_y: bool = True     # False: M^y := F^y
-
-    def flags(self, modality: str) -> tuple[bool, bool]:
-        """Whether this modality keeps its (commonality, individuality)
-        term; modality_codes zeroes a dropped one."""
-        use_meta = self.use_meta_x if modality == "x" else self.use_meta_y
-        return (self.use_common and use_meta,
-                self.use_individual and use_meta)
+    x: tuple[bool, bool] = (True, True)
+    y: tuple[bool, bool] = (True, True)
 
 
 VARIANTS: dict[str, Variant] = {
     "full": Variant("full"),
-    "wo_c": Variant("wo_c", use_common=False),
-    "wo_i": Variant("wo_i", use_individual=False),
-    "wo_ic": Variant("wo_ic", use_common=False, use_individual=False),
-    "wo_meta_i": Variant("wo_meta_i", use_meta_x=False),
-    "wo_meta_t": Variant("wo_meta_t", use_meta_y=False),
+    "wo_c": Variant("wo_c", x=(False, True), y=(False, True)),
+    "wo_i": Variant("wo_i", x=(True, False), y=(True, False)),
+    "wo_ic": Variant("wo_ic", x=(False, False), y=(False, False)),
+    "wo_meta_i": Variant("wo_meta_i", x=(False, False)),    # M^x := F^x
+    "wo_meta_t": Variant("wo_meta_t", y=(False, False)),    # M^y := F^y
 }
 
 
@@ -105,15 +97,22 @@ ModalityCodes = tuple[np.ndarray, np.ndarray]
 
 def modality_codes(icae: autoencoder.IcaeParams, modality: str,
                    raw: np.ndarray, variant: Variant) -> ModalityCodes:
-    """The autoencoder codes one modality's meta features receive
-    (autoencoder.hash_codes), with the terms the variant drops set to zero.
+    """The codes one modality's meta features receive: the commonality code
+    (autoencoder.raw_codes) at its calibrated scale and the label-memory
+    recall (autoencoder.recall) of the standardized individuality code,
+    with the codes the variant drops set to zero.
 
     Training and query encoding both call this, so the codes a sample
     receives in either role are identical.
     """
-    codes = autoencoder.hash_codes(icae, modality, raw)
+    if icae.calibration is None:
+        raise ValueError("calibrate the autoencoder before hashing")
+    C, P = autoencoder.raw_codes(icae, modality, raw)
+    cal = icae.calibration[modality]
+    P = (P - cal.ind_mean) / cal.ind_scale
+    codes = (C / cal.common_scale, autoencoder.recall(cal, P))
     return tuple(c if keep else np.zeros_like(c)
-                 for c, keep in zip(codes, variant.flags(modality)))
+                 for c, keep in zip(codes, getattr(variant, modality)))
 
 
 def meta_pass(side_v: meta.ModalitySide, raw: np.ndarray,

@@ -136,8 +136,9 @@ def cast(mlp: Mlp, dtype) -> Mlp:
                 for layer in mlp.layers])
 
 
-# samples x units of the widest layer in one block of a whole-split pass;
-# bounds the block's activations and tapes whatever the split size
+# the library's one block budget, in elements of one block (samples x units
+# of the widest layer here); bounds the temporaries of every blocked loop,
+# whatever the split size
 BLOCK_ELEMS = 1 << 18
 # a block of more rows than this is a whole number of them, a multiple of
 # every BLAS tile height

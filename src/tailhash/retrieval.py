@@ -14,12 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import affinity, autoencoder, hashing, meta
+from . import affinity, autoencoder, hashing, meta, nn
 
-# ranked items (query rows x base size) scored per block; bounds the block's
-# distance, relevance, order and ranked-relevance temporaries whatever the
-# split sizes
-BLOCK_ELEMS = 1 << 18
 # direction -> the modalities of its (query, base) codes
 DIRECTIONS = {"i2t": ("x", "y"), "t2i": ("y", "x")}
 
@@ -108,9 +104,10 @@ def _score(query_codes, query_labels, base_codes, base_labels,
     """Per-query AP, relevance flags and precision@k for each k in ks.
 
     A base item is ranked by Hamming distance, ties by base index (a stable
-    sort). Queries are scored in blocks of about BLOCK_ELEMS ranked items,
-    so only one block's distances and order exist at a time; both code sets
-    are packed once, and each block's distances come from the packed bytes.
+    sort). Queries are scored in blocks of about nn.BLOCK_ELEMS ranked
+    items, so only one block's distances and order exist at a time; both
+    code sets are packed once, and each block's distances come from the
+    packed bytes.
     The blocks run on the calling thread: they are short, and numpy holds
     the interpreter lock in part of each, so worker threads would mostly
     pass the lock back and forth, with timings that follow the host's load.
@@ -134,7 +131,7 @@ def _score(query_codes, query_labels, base_codes, base_labels,
     aps = np.full(nq, np.nan)
     valid = np.zeros(nq, dtype=bool)
     hits_at = [np.zeros(nq, dtype=np.int64) for _ in ks]
-    rows = max(1, BLOCK_ELEMS // max(nb, 1))
+    rows = max(1, nn.BLOCK_ELEMS // max(nb, 1))
     for start in range(0, nq, rows):
         blk = slice(start, start + rows)
         rel = affinity.shares_label(lq[:, blk], lb)

@@ -18,9 +18,9 @@ kind is refused. A loader maps its record onto named arrays (a net's layers
 hash codes ``codes``) and checks the type of every manifest value it reads,
 that codes are a matrix and, in a dataset, that features and labels have as
 many rows by their manifest shapes, one count per label and split indices
-in 0..n-1 that appear once. These failures and a missing key raise
-StoreError naming the manifest; an array file that does not fit its entry
-raises one naming the file.
+in 0..n-1 that appear once. These failures, a shape numpy cannot hold
+and a missing key raise StoreError naming the manifest; an array file that
+does not fit its entry raises one naming the file.
 
 A checkpoint's ``hyper`` is the caller's record of the run, which this
 module stores as given.
@@ -216,9 +216,14 @@ def _load(path, kind: str, names: Optional[Iterable[str]] = None
         dtype = entry.get_as("dtype", "a string", at + ".dtype")
         if dtype != BITS and dtype not in _DTYPES:
             raise StoreError(f"{mpath}: {at}.dtype: unknown dtype {dtype!r}")
-        entries[name] = (root / file, dtype,
-                         tuple(entry.get_as("shape", "a list of non-negative "
-                                            "integers", at + ".shape")),
+        shape = tuple(entry.get_as("shape", "a list of non-negative "
+                                   "integers", at + ".shape"))
+        # numpy holds 32 axes (64 from numpy 2) and intp bytes, 8 per cell
+        if (len(shape) > 32 or math.prod(d for d in shape if d) * 8
+                > np.iinfo(np.intp).max):
+            raise StoreError(f"{mpath}: {at}.shape: numpy cannot hold an "
+                             f"array of shape {list(shape)}")
+        entries[name] = (root / file, dtype, shape,
                          entry.get_as("crc32", "a non-negative integer",
                                       at + ".crc32"))
     arrays = _Manifest({}, mpath)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tailhash import affinity, verify
+from tailhash import affinity, nn, verify
 
 
 # ------------------------------------------------------------ pair_similarity
@@ -397,7 +397,7 @@ def workers(monkeypatch):
         monkeypatch.setattr(affinity, "WORKERS", n)
         monkeypatch.setattr(affinity, "MIN_BLOCKS_PER_WORKER", 1)
 
-    monkeypatch.setattr(affinity, "BLOCK_ELEMS", 120)
+    monkeypatch.setattr(nn, "BLOCK_ELEMS", 120)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -525,12 +525,12 @@ def _brute_nearest_sq_dists(feats, members):
 @pytest.mark.parametrize("cloud", sorted(CLOUDS))
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("n_workers", [1, 3])
-@pytest.mark.parametrize("block", [120, affinity.BLOCK_ELEMS])
+@pytest.mark.parametrize("block", [120, nn.BLOCK_ELEMS])
 def test_nearest_member_pass_equals_float64_oracle(monkeypatch, block,
                                                    n_workers, order, cloud):
     # bit for bit: the float32 screen must never drop the member of least
     # float64 square, whatever the blocks, the threads or the layout
-    monkeypatch.setattr(affinity, "BLOCK_ELEMS", block)
+    monkeypatch.setattr(nn, "BLOCK_ELEMS", block)
     monkeypatch.setattr(affinity, "WORKERS", n_workers)
     monkeypatch.setattr(affinity, "MIN_BLOCKS_PER_WORKER", 1)
     for seed in range(3):

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from tailhash import affinity, autoencoder, datagen, experiment, nn
+from tailhash import affinity, autoencoder, datagen, experiment, hashing, nn
 from tailhash.verify import finite_diff_grad, flat_grads, get_flat, set_flat
 
 
@@ -110,13 +110,14 @@ def test_calibration_standardizes_codes():
         np.testing.assert_allclose(arr.mean(axis=0), 0.0, atol=1e-12)
     # each single-modality commonality stream has its own calibration
     for modality, raw in (("x", Xb), ("y", Yb)):
-        C, _ = autoencoder.hash_codes(icae, modality, raw)
+        C, _ = hashing.modality_codes(icae, modality, raw,
+                                      hashing.VARIANTS["full"])
         np.testing.assert_allclose(np.sqrt(np.mean(C ** 2, axis=0)), 1.0,
                                    atol=1e-10)
 
 
 def test_calibration_matches_single_modality_encodings():
-    # calibration runs hash_codes' single-modality pass; its statistics
+    # calibration runs modality_codes' single-modality pass; its statistics
     # equal those of full encodings with the other modality zeroed, bit
     # for bit
     rng = np.random.default_rng(6)
@@ -182,19 +183,20 @@ def test_hash_codes_match_single_modality_encoding():
     icae = _tiny_icae(rng)
     Xb = rng.standard_normal((30, 3))
     Yb = rng.standard_normal((30, 3))
+    full = hashing.VARIANTS["full"]
     with pytest.raises(ValueError):
-        autoencoder.hash_codes(icae, "x", Xb)
+        hashing.modality_codes(icae, "x", Xb, full)
     autoencoder.calibrate(icae, Xb, Yb, _labels(30, 3))
     cal = icae.calibration["y"]
     # the unscaled codes of a full encoding with the x block zeroed,
     # standardized with the y-only commonality scale
     only_y, _ = autoencoder.encode(icae, np.zeros_like(Xb), Yb)
-    C, I = autoencoder.hash_codes(icae, "y", Yb)
+    C, I = hashing.modality_codes(icae, "y", Yb, full)
     np.testing.assert_array_equal(C, only_y.Cstar / cal.common_scale)
     np.testing.assert_array_equal(
         I, autoencoder.recall(cal, _standardized(cal, only_y.Py)))
     with pytest.raises(ValueError):
-        autoencoder.hash_codes(icae, "z", Xb)
+        hashing.modality_codes(icae, "z", Xb, full)
 
 
 def test_reconstruction_loss_zero_when_decoder_exact():

@@ -3,13 +3,16 @@ on the block size, and their memory is bounded by a block, not the split."""
 
 import copy
 import dataclasses
+import importlib
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tailhash import (autoencoder, datagen, experiment, hashing, meta, nn,
-                      retrieval)
+import tailhash
+from tailhash import (affinity, autoencoder, datagen, experiment, hashing,
+                      meta, nn, retrieval)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64])
@@ -37,6 +40,39 @@ def test_row_blocks_start_on_aligned_rows():
     blocks = nn.row_blocks(10_000, net)
     assert [b.start for b in blocks] == [0, 2304, 4608, 6912]
     assert blocks[-1].stop == 10_000
+
+
+def test_nn_holds_the_one_block_budget(monkeypatch):
+    # verify keeps its own, so that the oracles stay independent of the
+    # library
+    defining = [name for _, name, _ in pkgutil.iter_modules(tailhash.__path__)
+                if "BLOCK_ELEMS" in vars(importlib.import_module(
+                    f"tailhash.{name}"))]
+    assert defining == ["nn", "verify"]
+    spec = datagen.LongTailSpec(c=5, z1=40, imbalance_factor=8.0,
+                                raw_dim_x=12, raw_dim_y=9, noise_sigma=0.5,
+                                seed=2)
+
+    def run():
+        ds = datagen.generate(spec)
+        rng = np.random.default_rng(2)
+        codes = np.where(rng.random((8, ds.n)) < 0.5, 1.0, -1.0)
+        aps = retrieval.average_precisions(codes[:, :15], ds.L[:15], codes,
+                                           ds.L)
+        aff = affinity.label_affinity(ds.Fx_raw, ds.L)
+        return [ds.Fx_raw, ds.Fy_raw, ds.L, aps, aff.H, aff.R]
+
+    want = run()
+    blocks = []
+    shares_label = affinity.shares_label
+    monkeypatch.setattr(affinity, "shares_label",
+                        lambda q, b: blocks.append(q) or shares_label(q, b))
+    monkeypatch.setattr(nn, "BLOCK_ELEMS", 16)
+    got = run()
+    # the ranking took one query row per block: the budget reached it
+    assert len(blocks) == 15
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
 
 
 def _model():
@@ -90,9 +126,7 @@ def _passes(ds, model):
 def test_blocked_passes_agree_at_any_block_size(monkeypatch, rows):
     ds, model = _model()
     default = _passes(ds, model)
-    nb = ds.base_indices.size
     monkeypatch.setattr(nn, "BLOCK_ELEMS", rows * 64)
-    monkeypatch.setattr(retrieval, "BLOCK_ELEMS", rows * nb)
     raw, calibration, full, codes, reports = _passes(ds, model)
     # the +/-1 codes, B and the reports are exact. The float results agree
     # to rounding only: BLAS takes another kernel for a product over a few

@@ -133,6 +133,22 @@ def test_gen_data_validation_error_leaves_no_out_dir(tmp_path, flags):
     assert not out.exists()
 
 
+def test_gen_data_refuses_mu_that_contradicts_imbalance_factor(
+        tmp_path, monkeypatch, capsys):
+    # mu 1 gives z1 / zc = 7.69 here: a record of --if 50 would be false
+    def generate(spec):
+        raise AssertionError("generate ran on a contradictory spec")
+
+    monkeypatch.setattr(datagen, "generate", generate)
+    out = tmp_path / "d"
+    assert run_cli(["gen-data", "--c", "8", "--z1", "100", "--mu", "1",
+                    "--if", "50", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mu 1.0 contradicts imbalance factor 50.0")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_gen_data_rejects_bad_dimensions(tmp_path):
     code = run_cli(["gen-data", "--c", "4", "--z1", "40", "--if", "8",
                     "--shared-dim", "0", "--out", str(tmp_path / "x")])
@@ -264,7 +280,9 @@ def test_train_resume_skips_phase_one(tmp_path):
 def test_training_views_the_split_rows_it_keeps(tmp_path, monkeypatch,
                                                command):
     # train and ablate gather their split rows once; phase 1, phase 2 and
-    # ablate's evaluation then view them instead of gathering copies
+    # ablate's evaluation then view them instead of gathering copies. Of
+    # the split, ablate's evaluation asks only for the query rows (once per
+    # variant) and the base labels, so 1 + 6 + 6 calls
     data = _gen(tmp_path)
     seen = []
     for name in ("base", "query"):
@@ -275,7 +293,7 @@ def test_training_views_the_split_rows_it_keeps(tmp_path, monkeypatch,
     assert run_cli([command, "--dataset", str(data / "dataset"),
                     "--out", str(tmp_path / "run"), "--k", "4",
                     "--max-epochs", "1", "--seed", "0"]) == 0
-    assert len(seen) >= (2 if command == "train" else 14)
+    assert len(seen) >= (2 if command == "train" else 13)
     for arrays in seen:
         for arr in arrays:
             assert not arr.flags.owndata and not arr.flags.writeable
@@ -872,6 +890,14 @@ def _flatten_codes(container):
     _edit_manifest(container, flatten)
 
 
+def _empty_codes_of_no_room(container):
+    """Empty codes.bin under a shape numpy cannot hold; with its zero
+    column the file and the CRC-32 of no bytes fit the entry."""
+    (container / "codes.bin").write_bytes(b"")
+    _edit_manifest(container, lambda m: m["arrays"]["codes"].update(
+        shape=[2 ** 62, 0], crc32=0))
+
+
 def _move_array_out(name, absolute):
     """Move an array file next to its container and point its entry at it,
     by an absolute path or through ..; the file still fits the entry."""
@@ -907,6 +933,7 @@ BAD_ARTIFACTS = {
     "info_without_variant": ("codes", lambda container: _drop_manifest_key(
         container, "info", "variant")),
     "codes_one_row": ("codes", _flatten_codes),
+    "codes_shape_too_big": ("codes", _empty_codes_of_no_room),
     "features_x_file_outside": ("dataset",
                                 _move_array_out("features_x", False)),
     # encode --modality x and eval read no features_y, and refuse it alike

@@ -1,9 +1,12 @@
 """Synthetic long-tail dataset generation: Zipf counts, planted structure."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from tailhash import datagen
+from tailhash import datagen, nn
 
 
 # ---------------------------------------------------------------- zipf_counts
@@ -158,10 +161,10 @@ def test_generate_noise_chunks_leave_the_bytes_alone(monkeypatch):
     # the noise is drawn in row chunks from the stream a whole-matrix draw
     # would take; one row per chunk, a few rows and one chunk all agree
     spec = _tiny_spec(noise_sigma=0.7, secondary_label_prob=0.5)
-    monkeypatch.setattr(datagen, "BLOCK_ELEMS", 1 << 40)
+    monkeypatch.setattr(nn, "BLOCK_ELEMS", 1 << 40)
     whole = datagen.generate(spec)
     for elems in (1, 25):
-        monkeypatch.setattr(datagen, "BLOCK_ELEMS", elems)
+        monkeypatch.setattr(nn, "BLOCK_ELEMS", elems)
         chunked = datagen.generate(spec)
         assert chunked.Fx_raw.tobytes() == whole.Fx_raw.tobytes()
         assert chunked.Fy_raw.tobytes() == whole.Fy_raw.tobytes()
@@ -192,6 +195,17 @@ def test_spec_rejects_imbalance_factor_not_above_one(mu):
     # also when mu is given and the factor would go unused
     with pytest.raises(ValueError, match="imbalance factor must exceed 1"):
         datagen.LongTailSpec(c=4, z1=10, mu=mu, imbalance_factor=1.0)
+
+
+def test_spec_refuses_mu_that_contradicts_imbalance_factor():
+    with pytest.raises(ValueError, match="contradicts imbalance factor 50"):
+        datagen.LongTailSpec(c=8, z1=100, mu=1.0, imbalance_factor=50)
+    # a spec rebuilt from its own record, as a manifest holds it, gives
+    # both, and they agree
+    spec = datagen.LongTailSpec(c=8, z1=100, imbalance_factor=50)
+    assert dataclasses.replace(spec, seed=4).mu == spec.mu
+    record = json.loads(json.dumps(dataclasses.asdict(spec)))
+    assert datagen.LongTailSpec(**record) == spec
 
 
 # ---------------------------------------------------------------------- split

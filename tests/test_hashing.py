@@ -295,15 +295,15 @@ def test_train_variants_equals_train_phase2_on_a_fresh_copy():
         assert model.icae is icae and model.loss1_trace is trace1
 
 def test_variant_flags():
-    assert hashing.VARIANTS["full"].flags("x") == (True, True)
-    assert hashing.VARIANTS["wo_c"].flags("x") == (False, True)
-    assert hashing.VARIANTS["wo_i"].flags("y") == (True, False)
-    assert hashing.VARIANTS["wo_ic"].flags("x") == (False, False)
+    assert hashing.VARIANTS["full"].x == (True, True)
+    assert hashing.VARIANTS["wo_c"].x == (False, True)
+    assert hashing.VARIANTS["wo_i"].y == (True, False)
+    assert hashing.VARIANTS["wo_ic"].x == (False, False)
     # disabling one modality's meta features leaves the other intact
-    assert hashing.VARIANTS["wo_meta_i"].flags("x") == (False, False)
-    assert hashing.VARIANTS["wo_meta_i"].flags("y") == (True, True)
-    assert hashing.VARIANTS["wo_meta_t"].flags("y") == (False, False)
-    assert hashing.VARIANTS["wo_meta_t"].flags("x") == (True, True)
+    assert hashing.VARIANTS["wo_meta_i"].x == (False, False)
+    assert hashing.VARIANTS["wo_meta_i"].y == (True, True)
+    assert hashing.VARIANTS["wo_meta_t"].y == (False, False)
+    assert hashing.VARIANTS["wo_meta_t"].x == (True, True)
 
 
 def test_wo_ic_variant_equals_selectors_forced_zero():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tailhash import autoencoder, datagen, experiment, hashing, retrieval
+from tailhash import autoencoder, datagen, experiment, hashing, nn, retrieval
 from tailhash.verify import map_oracle
 
 
@@ -186,14 +186,14 @@ def test_evaluate_identical_across_query_blocks(monkeypatch, topR):
     nb = D.shape[1]
 
     def run(block_elems):
-        monkeypatch.setattr(retrieval, "BLOCK_ELEMS", block_elems)
+        monkeypatch.setattr(nn, "BLOCK_ELEMS", block_elems)
         report = retrieval.evaluate("i2t", Q, Lq, D, Lb, Lb.sum(axis=0), 2,
                                     ks=(1, 5, 100), topR=topR)
         report.runtime = 0.0
         aps = retrieval.average_precisions(Q, Lq, D, Lb, topR)
         return report, aps
 
-    default = run(retrieval.BLOCK_ELEMS)
+    default = run(nn.BLOCK_ELEMS)
     assert default[0].n_excluded >= 2
     for rows in (1, 4):
         report, aps = run(rows * nb)

@@ -290,6 +290,31 @@ def test_codes_unknown_dtype_refused(tmp_path):
         store.load_codes(tmp_path / "c")
 
 
+@pytest.mark.parametrize("kind, name, shape", [
+    ("codes", "codes", [2 ** 62, 0]),
+    ("dataset", "features_y", [2 ** 62, 0]),
+    ("dataset", "labels", [2 ** 60, 8]),
+    ("codes", "codes", [0] * 65)],
+    ids=["bits", "float64_unread", "uint8", "65_axes"])
+def test_shape_numpy_cannot_hold_refused(tmp_path, kind, name, shape):
+    # with a zero dimension an empty file and the CRC-32 of no bytes fit
+    # the entry; the entry check refuses the shape, whether or not the
+    # array is read
+    path = tmp_path / kind
+    if kind == "codes":
+        store.save_codes(path, np.ones((4, 9)))
+    else:
+        store.save_dataset(_dataset(), path)
+    (path / f"{name}.bin").write_bytes(b"")
+    _edit(path, lambda m: m["arrays"][name].update(shape=shape, crc32=0))
+    with pytest.raises(store.StoreError, match=f"arrays.{name}.shape: numpy "
+                       f"cannot hold"):
+        if kind == "codes":
+            store.load_codes(path)
+        else:
+            store.load_dataset(path, names=["features_x"])
+
+
 def test_codes_of_one_dimension_refused(tmp_path):
     # the same bits as one row: the packed byte count still fits
     store.save_codes(tmp_path / "c", np.ones((4, 9)))
